@@ -8,7 +8,6 @@ data-consistent parameter, and runs the extension check certifying that no
 spurious parameters remain.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .algebra import (
     DiffVar,
     MonomialOrder,
@@ -65,3 +64,5 @@ from .extension import (
 )
 
 __version__ = "0.1.0"
+# the exact-arithmetic kernels are the pure-Python ones in algebra.py
+KERNEL_BACKEND = "pure"

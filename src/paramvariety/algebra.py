@@ -10,6 +10,13 @@ Two layers:
   variables (``DiffVar``) under a pure lexicographic ``MonomialOrder``,
   with ParamRat coefficients.
 
+Both layers store a polynomial as a term dict: exponent tuples mapped to
+nonzero coefficients. This module owns that format and the kernels over it
+(``expvec_*`` on exponent tuples, ``dict_*`` on term dicts). The arithmetic
+kernels need only ``+``, ``-``, ``*`` and truth testing of the coefficients,
+so ParamPoly (int/Fraction) and Poly (ParamRat) share them; the Groebner
+engine and the extension check import them from here.
+
 Floating point is forbidden here; every operation is exact. All values are
 immutable after construction, so they are safe to share between threads.
 
@@ -21,9 +28,9 @@ into the other when possible, and the denominator's leading coefficient
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
-from . import _kernels as K
 from .errors import (
     DivisionByZero,
     InvalidBlock,
@@ -48,6 +55,132 @@ class DiffVar(NamedTuple):
         if self.order <= 3:
             return self.base + "'" * self.order
         return f"{self.base}^({self.order})"
+
+
+# ---------------------------------------------------------------------------
+# term-dict kernels
+# ---------------------------------------------------------------------------
+# Exponent vectors are tuples of non-negative ints; a term dict maps them to
+# nonzero coefficients and never stores a zero.
+
+def expvec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def expvec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def expvec_divides(a, b):
+    """True when x^a divides x^b (componentwise a <= b)."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
+def expvec_lcm(a, b):
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def expvec_min(a, b):
+    return tuple(x if x <= y else y for x, y in zip(a, b))
+
+
+def dict_add(A, B):
+    out = dict(A)
+    for k, v in B.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s = s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def dict_sub(A, B):
+    out = dict(A)
+    for k, v in B.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = -v
+        else:
+            s = s - v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def dict_neg(A):
+    return {k: -v for k, v in A.items()}
+
+
+def dict_scale(A, c):
+    if not c:
+        return {}
+    return {k: v * c for k, v in A.items()}
+
+
+def dict_mul(A, B):
+    if not A or not B:
+        return {}
+    if len(A) > len(B):
+        A, B = B, A
+    out = {}
+    for ka, va in A.items():
+        for kb, vb in B.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            s = out.get(k)
+            if s is None:
+                out[k] = va * vb
+            else:
+                s = s + va * vb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
+def dict_term_mul(A, c, m):
+    """c * x^m * A with c nonzero."""
+    return {tuple(x + y for x, y in zip(k, m)): v * c for k, v in A.items()}
+
+
+def dict_axpy(P, c, m, B):
+    """In-place P += c * x^m * B; returns P. c must be nonzero."""
+    for k, v in B.items():
+        key = tuple(x + y for x, y in zip(k, m))
+        s = P.get(key)
+        if s is None:
+            P[key] = c * v
+        else:
+            s = s + c * v
+            if s:
+                P[key] = s
+            else:
+                del P[key]
+    return P
+
+
+def dict_int_content(A):
+    """gcd of the (integer) coefficients; 0 for the empty dict."""
+    g = 0
+    for v in A.values():
+        g = gcd(g, v)
+        if g == 1:
+            return 1
+    return g
+
+
+def dict_div_int(A, g):
+    return {k: v // g for k, v in A.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +274,26 @@ class ParamPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return ParamPoly(self.n, K.dict_add(self.terms, other.terms), _checked=True)
+        return ParamPoly(self.n, dict_add(self.terms, other.terms), _checked=True)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return ParamPoly(self.n, K.dict_sub(self.terms, other.terms), _checked=True)
+        return ParamPoly(self.n, dict_sub(self.terms, other.terms), _checked=True)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return ParamPoly(self.n, K.dict_neg(self.terms), _checked=True)
+        return ParamPoly(self.n, dict_neg(self.terms), _checked=True)
 
     def __mul__(self, other):
         if isinstance(other, ParamPoly):
             if other.n != self.n:
                 raise RingMismatch("parameter counts differ")
-            return ParamPoly(self.n, K.dict_mul(self.terms, other.terms), _checked=True)
-        return ParamPoly(self.n, K.dict_scale(self.terms, _exact(other)), _checked=True)
+            return ParamPoly(self.n, dict_mul(self.terms, other.terms), _checked=True)
+        return ParamPoly(self.n, dict_scale(self.terms, _exact(other)), _checked=True)
 
     __rmul__ = __mul__
 
@@ -218,9 +351,9 @@ class ParamPoly:
         if self.is_zero:
             return self, Fraction(0)
         num, scale = _clear_to_int(self)
-        g = K.dict_int_content(num.terms)
+        g = dict_int_content(num.terms)
         if g > 1:
-            num = ParamPoly(self.n, K.dict_div_int(num.terms, g), _checked=True)
+            num = ParamPoly(self.n, dict_div_int(num.terms, g), _checked=True)
             scale *= g
         if num.lead()[1] < 0:
             num = -num
@@ -250,17 +383,9 @@ def _clear_to_int(p):
     denoms = [c.denominator for c in p.terms.values() if isinstance(c, Fraction)]
     if not denoms:
         return p, Fraction(1)
-    m = 1
-    for d in denoms:
-        m = m * d // _gcd(m, d)
+    m = lcm(*denoms)
     terms = {k: int(c * m) for k, c in p.terms.items()}
     return ParamPoly(p.n, terms, _checked=True), Fraction(m)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def exact_divide(num, den):
@@ -276,12 +401,12 @@ def exact_divide(num, den):
     quot = {}
     while rem:
         lm_r = max(rem)
-        if not K.expvec_divides(lm_d, lm_r):
+        if not expvec_divides(lm_d, lm_r):
             return None
         c = Fraction(rem[lm_r]) / lc_d
-        delta = K.expvec_sub(lm_r, lm_d)
+        delta = expvec_sub(lm_r, lm_d)
         quot[delta] = c
-        K.dict_axpy(rem, -c, delta, den.terms)
+        dict_axpy(rem, -c, delta, den.terms)
     return ParamPoly(num.n, quot, _checked=True)
 
 
@@ -451,10 +576,10 @@ def _rescale_pair(num, den):
         den = den * ratio.denominator
         num, _ = _clear_to_int(num)
         den, _ = _clear_to_int(den)
-    g = _gcd(K.dict_int_content(num.terms), K.dict_int_content(den.terms))
+    g = gcd(dict_int_content(num.terms), dict_int_content(den.terms))
     if g > 1:
-        num = ParamPoly(num.n, K.dict_div_int(num.terms, g), _checked=True)
-        den = ParamPoly(den.n, K.dict_div_int(den.terms, g), _checked=True)
+        num = ParamPoly(num.n, dict_div_int(num.terms, g), _checked=True)
+        den = ParamPoly(den.n, dict_div_int(den.terms, g), _checked=True)
     shift = _common_monomial(num, den)
     if any(shift):
         num = _shift_down(num, shift)
@@ -489,14 +614,14 @@ def _common_monomial(a, b):
     m = None
     for terms in (a.terms, b.terms):
         for exps in terms:
-            m = exps if m is None else K.expvec_min(m, exps)
+            m = exps if m is None else expvec_min(m, exps)
             if not any(m):
                 return m
     return m
 
 
 def _shift_down(p, shift):
-    terms = {K.expvec_sub(exps, shift): c for exps, c in p.terms.items()}
+    terms = {expvec_sub(exps, shift): c for exps, c in p.terms.items()}
     return ParamPoly(p.n, terms, _checked=True)
 
 
@@ -711,16 +836,8 @@ class Poly:
         if isinstance(other, (ParamRat, int, Fraction)):
             other = Poly.const(self.ring, self._rat(other))
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = terms.get(m)
-            s = c if prev is None else prev + c
-            if s.is_zero:
-                if prev is not None:
-                    del terms[m]
-            else:
-                terms[m] = s
-        return Poly(self.ring, terms, n=self.n, _checked=True)
+        return Poly(self.ring, dict_add(self.terms, other.terms), n=self.n,
+                    _checked=True)
 
     __radd__ = __add__
 
@@ -728,8 +845,7 @@ class Poly:
         return self + (-other if isinstance(other, Poly) else -self._rat(other))
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()},
-                    n=self.n, _checked=True)
+        return Poly(self.ring, dict_neg(self.terms), n=self.n, _checked=True)
 
     def _rat(self, value):
         if isinstance(value, ParamRat):
@@ -740,38 +856,20 @@ class Poly:
         if isinstance(other, (ParamRat, int, Fraction)):
             return self.scale(self._rat(other))
         self._check(other)
-        out = {}
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = K.expvec_add(ma, mb)
-                c = ca * cb
-                prev = out.get(m)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    if prev is not None:
-                        del out[m]
-                else:
-                    out[m] = s
-        return Poly(self.ring, out, n=self.n, _checked=True)
+        return Poly(self.ring, dict_mul(self.terms, other.terms), n=self.n,
+                    _checked=True)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if c.is_zero:
-            return Poly.zero(self.ring, self.n)
-        return Poly(self.ring, {m: v * c for m, v in self.terms.items()},
-                    n=self.n, _checked=True)
+        return Poly(self.ring, dict_scale(self.terms, c), n=self.n, _checked=True)
 
     def mul_term(self, c, delta):
         """c * x^delta * self for a ParamRat c and exponent tuple delta."""
         if c.is_zero:
             return Poly.zero(self.ring, self.n)
-        return Poly(self.ring,
-                    {K.expvec_add(m, delta): v * c for m, v in self.terms.items()},
-                    n=self.n, _checked=True)
+        return Poly(self.ring, dict_term_mul(self.terms, c, delta), n=self.n,
+                    _checked=True)
 
     def __pow__(self, k):
         if k < 0:
@@ -898,35 +996,23 @@ def poly_divide(f, divisors, order=None):
         if g.ring != ring:
             raise RingMismatch("divisor lives in a different ring")
         lead.append(g.leading_term())
-    quots = [Poly.zero(ring, f.n) for _ in divisors]
+    # the leading monomial of work strictly decreases, so each quotient
+    # receives every delta at most once
+    quots = [{} for _ in divisors]
     rem = {}
     work = dict(f.terms)
     while work:
         mono = max(work)
         coeff = work[mono]
         for i, (lm, lc) in enumerate(lead):
-            if K.expvec_divides(lm, mono):
+            if expvec_divides(lm, mono):
                 q = coeff if lc.is_one else coeff / lc
-                delta = K.expvec_sub(mono, lm)
-                quots[i] = quots[i] + Poly(ring, {delta: q}, n=f.n, _checked=True)
-                _axpy_terms(work, -q, delta, divisors[i].terms)
+                delta = expvec_sub(mono, lm)
+                quots[i][delta] = q
+                dict_axpy(work, -q, delta, divisors[i].terms)
                 break
         else:
             rem[mono] = coeff
             del work[mono]
-    return quots, Poly(ring, rem, n=f.n, _checked=True)
-
-
-def _axpy_terms(work, c, delta, g_terms):
-    """In-place work += c * x^delta * g_terms over ParamRat coefficients."""
-    for m, v in g_terms.items():
-        key = K.expvec_add(m, delta)
-        add = c * v
-        prev = work.get(key)
-        s = add if prev is None else prev + add
-        if s.is_zero:
-            if prev is not None:
-                del work[key]
-        else:
-            work[key] = s
-    return work
+    return ([Poly(ring, q, n=f.n, _checked=True) for q in quots],
+            Poly(ring, rem, n=f.n, _checked=True))

@@ -32,8 +32,7 @@ from .errors import (
     ParamVarietyError,
 )
 from .ioeq import derive_io_basis
-from .model import load_model, prolong, _ExprParser, _Tokens
-from .groebner import buchberger, reduce_basis
+from .model import load_model, _ExprParser, _Tokens
 from .extension import run_extension_check
 from .variety import (
     COND_THRESHOLD,
@@ -247,9 +246,7 @@ def cmd_variety(args):
                                       assumptions=assumptions,
                                       residual=result.residual,
                                       cond=result.cond)
-    psys = prolong(model, basis.L)
-    rgb = reduce_basis(buchberger(psys.gens, psys.ring), psys.ring)
-    report = run_extension_check(model, rgb)
+    report = run_extension_check(model, basis.gb)
 
     meta = _metadata(args, **meta_files)
     lines = [f"# {m}" for m in meta]
@@ -349,10 +346,7 @@ def _emit_samples(args, model, constraints, meta):
 
 def cmd_extend(args):
     model = load_model(args.model)
-    basis = derive_io_basis(model)
-    psys = prolong(model, basis.L)
-    rgb = reduce_basis(buchberger(psys.gens, psys.ring), psys.ring)
-    report = run_extension_check(model, rgb)
+    report = run_extension_check(model, derive_io_basis(model).gb)
     lines = [f"# {m}" for m in _metadata(args, model=args.model)]
     lines.append(report.render())
     path = os.path.join(args.out, "extension.txt")

@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import DiffVar, MonomialOrder, ParamRat, Poly
 from .errors import (
     BlowUp,
+    DatasetFormatError,
     DegenerateEigenvalues,
     InsufficientData,
     JetOrderMismatch,
@@ -496,9 +497,13 @@ def dataset_columns(order, input_names=(), input_order=None):
 
 
 def write_dataset(path, dataset, header_comments=()):
-    order = dataset.order
-    input_names = []
-    cols = dataset_columns(order, input_names) + ["source"]
+    """Write a dataset CSV that read_dataset reads back. DataSet does not
+    name its inputs, so input jets get the columns u1_0, u1_1, ... in input
+    order; every input jet must have the order of the first row's first."""
+    inputs = dataset.u_jets[0]
+    input_names = [f"u{m}" for m in range(1, len(inputs) + 1)]
+    input_order = len(inputs[0]) - 1 if inputs else None
+    cols = dataset_columns(dataset.order, input_names, input_order) + ["source"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
@@ -510,15 +515,24 @@ def write_dataset(path, dataset, header_comments=()):
             for jet in dataset.u_jets[i]:
                 row += [f"{float(v):.17g}" for v in jet]
             row.append(dataset.sources[i])
+            if len(row) != len(cols):
+                raise JetOrderMismatch(
+                    f"row {i} has {len(row)} fields for the {len(cols)} "
+                    "columns set by the first row's jets")
             writer.writerow(row)
 
 
 def read_dataset(path):
+    """Read a dataset CSV; the y columns may come in any order. Columns
+    other than t, y, y1, ..., yL (with no gap), input jets <name>_<k> and
+    source, a row whose field count differs from the header's, a value that
+    is not a finite number and times that do not increase raise
+    DatasetFormatError, naming the file and the line."""
     unit = "days"
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = None
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -526,31 +540,57 @@ def read_dataset(path):
                 if line[1:].strip().startswith("unit:"):
                     unit = line.split("unit:", 1)[1].strip()
                 continue
+            fields = [c.strip() for c in line.split(",")]
             if header is None:
-                header = [c.strip() for c in line.split(",")]
+                header, header_line = fields, lineno
                 continue
-            rows.append([c.strip() for c in line.split(",")])
+            if len(fields) != len(header):
+                raise DatasetFormatError(
+                    f"{path}, line {lineno}: {len(fields)} fields, the header "
+                    f"has {len(header)}")
+            rows.append((lineno, dict(zip(header, fields))))
     if header is None or not rows:
         raise InsufficientData(f"no data rows in {path}")
-    ycols = [c for c in header if c == "y" or (c.startswith("y") and c[1:].isdigit())]
+
+    def number(lineno, rec, col):
+        try:
+            value = float(rec[col])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise DatasetFormatError(
+                f"{path}, line {lineno}: {col} = {rec[col]!r} is not a finite "
+                "number")
+        return value
+
+    ycols = sorted((c for c in header
+                    if c == "y" or (c.startswith("y") and c[1:].isdecimal())),
+                   key=lambda c: int(c[1:] or 0))
     has_source = header[-1] == "source"
-    ucols = [c for c in header[1:] if c not in ycols and c != "source"]
+    ucols = [c for c in header if c not in ycols and c not in ("t", "source")]
+    if "t" not in header or ycols != ["y"] + [f"y{k}" for k in range(1, len(ycols))] \
+            or not all(c.rpartition("_")[2].isdecimal() for c in ucols):
+        raise DatasetFormatError(
+            f"{path}, line {header_line}: expected the columns t, y, y1, ..., "
+            f"input jets <name>_<k> and source, got {','.join(header)}")
     times, y_jets, u_jets, sources = [], [], [], []
     input_names = []
     for c in ucols:
         base = c.rsplit("_", 1)[0]
         if base not in input_names:
             input_names.append(base)
-    for row in rows:
-        rec = dict(zip(header, row))
-        times.append(float(rec["t"]))
-        y_jets.append(tuple(float(rec[c]) for c in ycols))
+    for lineno, rec in rows:
+        times.append(number(lineno, rec, "t"))
+        y_jets.append(tuple(number(lineno, rec, c) for c in ycols))
         jets = []
         for u in input_names:
             ks = sorted(int(c.rsplit("_", 1)[1]) for c in ucols
                         if c.rsplit("_", 1)[0] == u)
-            jets.append(tuple(float(rec[f"{u}_{k}"]) for k in ks))
+            jets.append(tuple(number(lineno, rec, f"{u}_{k}") for k in ks))
         u_jets.append(jets)
         sources.append(rec.get("source", "measured") if has_source else "measured")
-    return DataSet(times=times, y_jets=y_jets, u_jets=u_jets, unit=unit,
-                   sources=sources)
+    try:
+        return DataSet(times=times, y_jets=y_jets, u_jets=u_jets, unit=unit,
+                       sources=sources)
+    except ValueError as exc:  # times not strictly increasing
+        raise DatasetFormatError(f"{path}: {exc}") from None

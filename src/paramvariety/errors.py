@@ -91,6 +91,11 @@ class InsufficientData(ParamVarietyError):
     exit_code = EXIT_USAGE
 
 
+class DatasetFormatError(ParamVarietyError):
+    """A dataset file that does not parse; the message names file and line."""
+    exit_code = EXIT_USAGE
+
+
 class IllConditioned(ParamVarietyError):
     exit_code = EXIT_NUMERIC
 

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DiffVar, ParamPoly, Poly, exact_divide
+from math import gcd, lcm
+
+from .algebra import (
+    DiffVar,
+    ParamPoly,
+    Poly,
+    dict_div_int,
+    dict_int_content,
+    exact_divide,
+)
 from .errors import MissingLeading
 from .groebner import ReducedGB
 
@@ -77,8 +86,6 @@ def clear_denominators(poly):
     coefficient is positive. Returns {monomial exponents: ParamPoly}."""
     from fractions import Fraction
 
-    from . import _kernels as K
-
     common = ParamPoly.const(poly.n, 1)
     for c in poly.terms.values():
         if c.den.is_constant and c.den.constant_value() == 1:
@@ -92,36 +99,25 @@ def clear_denominators(poly):
             raise ArithmeticError("denominator failed to clear")
         cleared[m] = q
     # one common integer scaling keeps the coefficient ratios exact
-    lcm = 1
-    for p in cleared.values():
-        for c in p.terms.values():
-            if isinstance(c, Fraction):
-                d = c.denominator
-                lcm = lcm * d // _gcd_int(lcm, d)
-    if lcm > 1:
-        cleared = {m: p * lcm for m, p in cleared.items()}
+    scale = lcm(*(c.denominator for p in cleared.values()
+                  for c in p.terms.values() if isinstance(c, Fraction)))
+    if scale > 1:
+        cleared = {m: p * scale for m, p in cleared.items()}
     cleared = {m: ParamPoly(p.n, {e: int(c) for e, c in p.terms.items()},
                             _checked=True)
                for m, p in cleared.items()}
     content = 0
     for p in cleared.values():
-        content = _gcd_int(content, K.dict_int_content(p.terms))
+        content = gcd(content, dict_int_content(p.terms))
         if content == 1:
             break
     if content > 1:
-        cleared = {m: ParamPoly(p.n, K.dict_div_int(p.terms, content), _checked=True)
+        cleared = {m: ParamPoly(p.n, dict_div_int(p.terms, content), _checked=True)
                    for m, p in cleared.items()}
     lead_mono = max(cleared)
     if cleared[lead_mono].lead()[1] < 0:
         cleared = {m: -p for m, p in cleared.items()}
     return cleared
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def extension_sets(model, gb):

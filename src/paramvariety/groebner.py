@@ -8,8 +8,15 @@ the same generators in any order produce the same reduced basis.
 import os
 from dataclasses import dataclass
 
-from . import _kernels as K
-from .algebra import MonomialOrder, Poly, _axpy_terms
+from .algebra import (
+    MonomialOrder,
+    Poly,
+    dict_axpy,
+    expvec_add,
+    expvec_divides,
+    expvec_lcm,
+    expvec_sub,
+)
 from .errors import RingMismatch, ResourceExhausted, ZeroPolynomial
 
 
@@ -52,9 +59,9 @@ def s_polynomial(f, g, order=None):
         raise RingMismatch("s-polynomial operands live in different rings")
     lm_f, lc_f = f.leading_term()
     lm_g, lc_g = g.leading_term()
-    lcm = K.expvec_lcm(lm_f, lm_g)
-    left = f.mul_term(lc_f.inv(), K.expvec_sub(lcm, lm_f))
-    right = g.mul_term(lc_g.inv(), K.expvec_sub(lcm, lm_g))
+    lcm = expvec_lcm(lm_f, lm_g)
+    left = f.mul_term(lc_f.inv(), expvec_sub(lcm, lm_f))
+    right = g.mul_term(lc_g.inv(), expvec_sub(lcm, lm_g))
     return left - right
 
 
@@ -70,9 +77,9 @@ def reduce_poly(p, basis):
         mono = max(work)
         coeff = work[mono]
         for i, (lm, lc) in enumerate(lead):
-            if K.expvec_divides(lm, mono):
+            if expvec_divides(lm, mono):
                 q = coeff if lc.is_one else coeff / lc
-                _axpy_terms(work, -q, K.expvec_sub(mono, lm), basis[i].terms)
+                dict_axpy(work, -q, expvec_sub(mono, lm), basis[i].terms)
                 break
         else:
             rem[mono] = coeff
@@ -118,7 +125,7 @@ def buchberger(gens_or_ideal, order=None, limits=None):
 
     def add_pairs(j):
         for i in range(j):
-            pairs[(i, j)] = K.expvec_lcm(lms[i], lms[j])
+            pairs[(i, j)] = expvec_lcm(lms[i], lms[j])
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -134,7 +141,7 @@ def buchberger(gens_or_ideal, order=None, limits=None):
         lcm = pairs.pop((i, j))
         done.add((i, j))
         # coprimality criterion: disjoint leading monomials reduce to zero
-        if lcm == K.expvec_add(lms[i], lms[j]):
+        if lcm == expvec_add(lms[i], lms[j]):
             continue
         # chain criterion
         skip = False
@@ -142,7 +149,7 @@ def buchberger(gens_or_ideal, order=None, limits=None):
             if k in (i, j):
                 continue
             if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done \
-                    and K.expvec_divides(lms[k], lcm):
+                    and expvec_divides(lms[k], lcm):
                 skip = True
                 break
         if skip:
@@ -173,7 +180,7 @@ def reduce_basis(gb, order=None):
     minimal = []
     for g in polys:
         lm = g.leading_term()[0]
-        if any(K.expvec_divides(h.leading_term()[0], lm) for h in minimal):
+        if any(expvec_divides(h.leading_term()[0], lm) for h in minimal):
             continue
         minimal.append(g)
     # inter-reduce tails to a fixpoint

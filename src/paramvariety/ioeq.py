@@ -11,11 +11,11 @@ coefficients. The theory bounds the required order by the state count, so
 exceeding it signals a bug, not a property of the model.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .algebra import DiffVar, MonomialOrder, Poly
 from .errors import InternalError, MultipleIOEquations, NoParameterDependence
-from .groebner import buchberger, elimination_subset, reduce_basis
+from .groebner import ReducedGB, buchberger, elimination_subset, reduce_basis
 from .model import jet_ring, prolong
 
 
@@ -28,7 +28,10 @@ class IOEquationBasis:
     lex order with their rational-function coefficients; rhs collects the
     parameter-free part with its sign flipped, mirroring the
     'sum c_l f_l = rhs' layout. full is the monic state-free polynomial
-    itself: full == sum(c_l * f_l) - rhs.
+    itself: full == sum(c_l * f_l) - rhs. gb is the reduced Groebner basis
+    of the order-L prolongation it was eliminated from (None when the
+    equation was normalized from a bare polynomial); the extension check
+    runs on it.
     """
 
     L: int
@@ -40,6 +43,7 @@ class IOEquationBasis:
     param_names: tuple
     output_name: str = "y"
     input_names: tuple = ()
+    gb: ReducedGB = field(default=None, compare=False, repr=False)
 
     @property
     def n_coeffs(self):
@@ -105,9 +109,10 @@ def derive_io_basis(model, limits=None):
                     f"{len(subset)} state-free elements at order {i}; the "
                     "theory expects exactly one for a scalar output")
             h = subset[0].rering(_state_free_ring(model, i))
-            return normalize_io(h, L=i, param_names=model.params,
-                                output_name=model.output,
-                                input_names=model.inputs)
+            basis = normalize_io(h, L=i, param_names=model.params,
+                                 output_name=model.output,
+                                 input_names=model.inputs)
+            return replace(basis, gb=rgb)
     raise InternalError(
         f"no state-free element up to order {model.nstates}; this contradicts "
         "the termination bound and signals a bug")

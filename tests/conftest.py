@@ -3,9 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from paramvariety.groebner import buchberger, reduce_basis
 from paramvariety.ioeq import derive_io_basis
-from paramvariety.model import load_model, prolong
+from paramvariety.model import load_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -46,15 +45,13 @@ def decay_io(decay_model):
 
 
 @pytest.fixture(scope="session")
-def viral_rgb(viral_model):
-    psys = prolong(viral_model, 2)
-    return reduce_basis(buchberger(psys.gens, psys.ring), psys.ring)
+def viral_rgb(viral_io):
+    return viral_io.gb
 
 
 @pytest.fixture(scope="session")
-def lv_rgb(lv_model):
-    psys = prolong(lv_model, 2)
-    return reduce_basis(buchberger(psys.gens, psys.ring), psys.ring)
+def lv_rgb(lv_io):
+    return lv_io.gb
 
 
 @pytest.fixture()

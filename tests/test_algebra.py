@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from paramvariety.algebra import (
     ParamPoly,
     ParamRat,
     Poly,
+    dict_mul,
     exact_divide,
     leading_term,
     lex_compare,
@@ -290,3 +292,31 @@ def test_poly_rendering_roundtrip_shape():
     c = ParamRat(pp(n, {(1, 0): 1, (0, 1): 1}))
     p = Poly(ring, {(1, 0): c, (0, 0): ParamRat.from_const(n, -3)}, n=n)
     assert p.render(("a1", "a2")) == "(a1 + a2)*x - 3"
+
+
+# ---------------------------------------------------------------------------
+# term-dict kernels
+# ---------------------------------------------------------------------------
+
+def _rand_dict(rng, nvars, nterms):
+    out = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, 4) for _ in range(nvars))
+        c = rng.randint(-50, 50)
+        if c:
+            out[exps] = c
+    return out
+
+
+def test_dict_mul_against_naive():
+    rng = random.Random(3)
+    for _ in range(30):
+        a = _rand_dict(rng, 3, 5)
+        b = _rand_dict(rng, 3, 5)
+        naive = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                naive[k] = naive.get(k, 0) + va * vb
+        naive = {k: v for k, v in naive.items() if v}
+        assert dict_mul(a, b) == naive

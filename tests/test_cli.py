@@ -146,6 +146,26 @@ def test_variety_too_few_points(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    ("t,y,y1,y2\n1.0,2.0,3.0,4.0\n2.0,5.0,6.0\n", "line 3: 3 fields"),
+    ("# unit: days\nt,y,y1,y2\n1.0,2.0,3.0,4.0\n2.0,5.0,x,7.0\n",
+     "line 4: y1 = 'x'"),
+    ("t,y,y1,y2\n1.0,2.0,3.0,4.0\n2.0,5.0,nan,7.0\n", "line 3: y1 = 'nan'"),
+    ("t,y,y1,y2,note\n1.0,2.0,3.0,4.0,a\n2.0,5.0,6.0,7.0,b\n", "line 1: expected"),
+    ("t,y,y2\n1.0,2.0,4.0\n2.0,5.0,7.0\n", "line 1: expected"),
+    ("t,y,y1,y2\n2.0,2.0,3.0,4.0\n1.0,5.0,6.0,7.0\n", "strictly increasing"),
+], ids=["short-row", "non-numeric", "non-finite", "unknown-column", "y-gap",
+        "unsorted-times"])
+def test_variety_malformed_data_exits_usage(tmp_path, capsys, text, where):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    code = _run("variety", "--model", VIRAL, "--data", str(data),
+                "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}") and where in err
+
+
 def test_variety_singular_data_exits_numeric(tmp_path):
     data = tmp_path / "flat.csv"
     data.write_text("t,y,y1,y2\n1.0,0,0,0\n2.0,0,0,0\n")

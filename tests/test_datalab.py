@@ -5,6 +5,7 @@ import pytest
 
 from paramvariety.algebra import DiffVar
 from paramvariety.datalab import (
+    DataSet,
     central_difference,
     exact_viral_solution,
     integrate_model,
@@ -274,6 +275,23 @@ def test_dataset_roundtrip(tmp_path, viral_model):
     for a, b in zip(back.y_jets, ds.y_jets):
         assert a == pytest.approx(b)
     assert back.sources == ds.sources
+
+
+def test_dataset_roundtrip_input_jets(tmp_path):
+    ds = DataSet(times=[1.0, 2.0], y_jets=[(1.0, 2.0), (3.0, 4.0)],
+                 u_jets=[[(5.0,)], [(6.0,)]], sources=["a", "b"])
+    path = tmp_path / "ds.csv"
+    write_dataset(path, ds)
+    back = read_dataset(path)
+    assert back.u_jets == ds.u_jets
+    assert back.y_jets == ds.y_jets
+    assert back.sources == ["a", "b"]
+
+
+def test_read_dataset_orders_y_columns(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("t,y2,y,y1\n1.0,30,10,20\n")
+    assert read_dataset(path).y_jets == [(10.0, 20.0, 30.0)]
 
 
 def test_exact_viral_template_check(viral_model, lv_model):
