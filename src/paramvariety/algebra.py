@@ -932,15 +932,16 @@ class Poly:
     # -- evaluation / rendering
 
     def evaluate(self, var_values, param_values):
-        """Numeric value; var_values maps DiffVar -> float, param_values is
-        aligned with parameter declaration order."""
-        vals = [var_values[v] for v in self.ring.vars]
+        """Numeric value; var_values maps DiffVar -> float and needs only
+        the variables the terms use, param_values is aligned with parameter
+        declaration order."""
+        ring_vars = self.ring.vars
         total = 0.0
         for exps, c in self.terms.items():
             m = c.evaluate(param_values)
             for i, e in enumerate(exps):
                 if e:
-                    m *= vals[i] ** e
+                    m *= var_values[ring_vars[i]] ** e
             total += m
         return total
 

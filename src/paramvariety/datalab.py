@@ -108,47 +108,53 @@ def check_assumptions(model, params):
                 f"{poly.render(model.params)} != 0")
 
 
-def _compile_poly(p, values, exact=False):
-    """Fast numeric evaluator for a Poly at fixed parameter values; returns
-    a function of the ring-aligned variable-value vector. With exact=True
-    the coefficients are evaluated as Fractions, so Fraction inputs give
-    the exact value."""
-    if exact:
-        terms = [(c.evaluate_exact(values), exps) for exps, c in p.terms.items()]
-    else:
-        terms = [(c.evaluate(values), exps) for exps, c in p.terms.items()]
+def _compile_poly(p, index, values, exact=False):
+    """Compile a Poly at fixed parameter values into a function of the
+    caller's value vector; index maps each variable of p's ring that p uses
+    to its position in that vector.
+
+    Each term keeps only its nonzero exponents, in ring order, so an
+    evaluation does the same multiplications in the same order as a walk
+    over the full exponent vector. With exact=True the coefficients are
+    evaluated as Fractions, so Fraction inputs give the exact value."""
+    ring_vars = p.ring.vars
+    terms = [(c.evaluate_exact(values) if exact else c.evaluate(values),
+              tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
+             for exps, c in p.terms.items()]
     zero = Fraction(0) if exact else 0.0
 
     def ev(vals):
         total = zero
-        for c, exps in terms:
-            m = c
-            for i, e in enumerate(exps):
-                if e:
-                    m *= vals[i] ** e
+        for m, factors in terms:
+            for pos, e in factors:
+                if e == 1:
+                    m *= vals[pos]
+                else:
+                    m *= vals[pos] ** e
             total += m
         return total
 
     return ev
 
 
+def _state_index(model):
+    return {DiffVar(s, 0): i for i, s in enumerate(model.states)}
+
+
 def _rhs_function(model, params):
-    values = _param_vector(model, params)
-    ring = model.ring0()
-    fs = [_compile_poly(fi, values) for fi in model.f]
-    state_idx = [ring.index[DiffVar(s, 0)] for s in model.states]
-    nvars = len(ring.vars)
-
-    def rhs(x):
-        vals = [0.0] * nvars
-        for i, j in enumerate(state_idx):
-            vals[j] = x[i]
-        return np.array([f(vals) for f in fs])
-
+    """The vector field as a function of a list of Python floats in state
+    order, returning a list."""
     if model.inputs:
         raise NotImplementedError(
             "integration of models with external inputs needs input "
             "trajectories; none of the bundled case studies use them")
+    values = _param_vector(model, params)
+    index = _state_index(model)
+    fs = [_compile_poly(fi, index, values) for fi in model.f]
+
+    def rhs(x):
+        return [f(x) for f in fs]
+
     return rhs
 
 
@@ -162,20 +168,26 @@ _MAX_HALVINGS = 3
 
 
 def _rk4_segment(rhs, x, t0, t1, nsteps):
-    h = (t1 - t0) / nsteps
+    """nsteps classical RK4 substeps from t0 to t1 on Python floats; returns
+    the state as a list."""
+    h = (float(t1) - float(t0)) / nsteps
+    half = 0.5 * h
+    sixth = h / 6.0
+    x = [float(v) for v in x]
     for k in range(nsteps):
-        t_next = t0 + (k + 1) * h
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rhs(x)
-                k2 = rhs(x + 0.5 * h * k1)
-                k3 = rhs(x + 0.5 * h * k2)
-                k4 = rhs(x + h * k3)
+            k1 = rhs(x)
+            k2 = rhs([a + half * b for a, b in zip(x, k1)])
+            k3 = rhs([a + half * b for a, b in zip(x, k2)])
+            k4 = rhs([a + h * b for a, b in zip(x, k3)])
         except OverflowError:
+            t_next = t0 + (k + 1) * h
             raise BlowUp(f"state overflowed near t = {t_next:.6g}",
                          time=t_next) from None
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, x)):
+            t_next = t0 + (k + 1) * h
             raise BlowUp(f"state became non-finite near t = {t_next:.6g}",
                          time=t_next)
     return x
@@ -186,7 +198,11 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
     """Classical RK4 along the given time grid.
 
     The substep is refined by halving until the outputs change by less than
-    rel_tol relative (at most max_halvings extra refinements).
+    rel_tol relative (at most max_halvings extra refinements). The stages
+    run on Python floats, in the operation order of the numpy formulation
+    x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4) that they replace,
+    so the states are bit for bit those of numpy float64 arithmetic.
+    A state that overflows or becomes non-finite raises BlowUp.
     """
     check_assumptions(model, params)
     grid = np.asarray(grid, dtype=float)
@@ -201,11 +217,12 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.nstates,):
         raise ValueError(f"x0 must have {model.nstates} entries")
+    times = grid.tolist()
 
     def run(mult):
-        states = [x0]
-        x = x0
-        for a, b in zip(grid, grid[1:]):
+        states = [x0.tolist()]
+        x = states[0]
+        for a, b in zip(times, times[1:]):
             nsteps = max(4, math.ceil((b - a) * _BASE_DENSITY)) * mult
             x = _rk4_segment(rhs, x, a, b, nsteps)
             states.append(x)
@@ -221,17 +238,8 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
             break
         states, mult = finer, mult * 2
 
-    values = _param_vector(model, params)
-    g = _compile_poly(model.g, values)
-    ring = model.ring0()
-    state_idx = [ring.index[DiffVar(s, 0)] for s in model.states]
-    nvars = len(ring.vars)
-    outputs = []
-    for x in states:
-        vals = [0.0] * nvars
-        for i, j in enumerate(state_idx):
-            vals[j] = x[i]
-        outputs.append(g(vals))
+    g = _compile_poly(model.g, _state_index(model), _param_vector(model, params))
+    outputs = [g(x) for x in states.tolist()]
     return Trajectory(times=grid, states=states, outputs=np.array(outputs),
                       params=dict(params), x0=x0)
 
@@ -248,10 +256,9 @@ def _lie_ring(model, order):
     return MonomialOrder(vars)
 
 
-def output_jet_polys(model, order):
-    """Symbolic y, y', ..., y^(order) as polynomials in the current state
-    and the input jet: repeated total differentiation of the observation
-    with x' substituted by the model right-hand side."""
+def _lie_derivative(model, order):
+    """The ring of _lie_ring and the total time derivative over it: x' is
+    substituted by the model right-hand side and u^(k)' by u^(k+1)."""
     ring = _lie_ring(model, order)
     fs = [fi.rering(ring) for fi in model.f]
     state_vars = [DiffVar(s, 0) for s in model.states]
@@ -268,10 +275,43 @@ def output_jet_polys(model, order):
                     out = out + d * Poly.var(ring, DiffVar(u, k + 1), p.n)
         return out
 
+    return ring, lie
+
+
+def output_jet_polys(model, order):
+    """Symbolic y, y', ..., y^(order) as polynomials in the current state
+    and the input jet: repeated total differentiation of the observation
+    with x' substituted by the model right-hand side."""
+    ring, lie = _lie_derivative(model, order)
     jets = [model.g.rering(ring)]
     for _ in range(order):
         jets.append(lie(jets[-1]))
     return ring, jets
+
+
+def _point_index(model, order):
+    """Positions of the state and of each input's jet u, ..., u^(order) in
+    the value vector that _point_values builds."""
+    index = _state_index(model)
+    for u in model.inputs:
+        for k in range(order + 1):
+            index[DiffVar(u, k)] = len(index)
+    return index
+
+
+def _point_values(model, state, u_jet, order, convert):
+    """The value vector of one point, every value passed through convert:
+    the state, then each input's jet u, ..., u^(order). u_jet must give
+    each input up to u^(order-1); u^(order), when not given, reads 0."""
+    vals = [convert(x) for x in state]
+    for m, u in enumerate(model.inputs):
+        jet = list(u_jet[m]) if m < len(u_jet) else []
+        if len(jet) < order:
+            raise JetOrderMismatch(
+                f"input {u!r} needs a jet of order {order - 1}, got {len(jet) - 1}")
+        jet = (jet + [0] * (order + 1))[:order + 1]
+        vals += [convert(v) for v in jet]
+    return vals
 
 
 def _exact_value(x):
@@ -285,23 +325,13 @@ def _jet_evaluator(model, params, order):
     The push-forward polynomials are evaluated in Fraction arithmetic at the
     exact binary values of the float parameters, state and input jet, so the
     jets satisfy the input-output equation exactly at those values."""
-    ring, jets = output_jet_polys(model, order)
+    _, jets = output_jet_polys(model, order)
     values = [_exact_value(a) for a in _param_vector(model, params)]
-    evs = [_compile_poly(p, values, exact=True) for p in jets]
-    state_idx = [ring.index[DiffVar(s, 0)] for s in model.states]
+    index = _point_index(model, order)
+    evs = [_compile_poly(p, index, values, exact=True) for p in jets]
 
     def evaluate(state, u_jet=()):
-        vals = [Fraction(0)] * len(ring.vars)
-        for j, x in zip(state_idx, state):
-            vals[j] = _exact_value(x)
-        for m, u in enumerate(model.inputs):
-            jet = u_jet[m] if m < len(u_jet) else ()
-            if len(jet) < order:
-                raise JetOrderMismatch(
-                    f"input {u!r} needs a jet of order {order - 1}, got {len(jet) - 1}")
-            for k, val in enumerate(jet):
-                if DiffVar(u, k) in ring.index:
-                    vals[ring.index[DiffVar(u, k)]] = _exact_value(val)
+        vals = _point_values(model, state, u_jet, order, _exact_value)
         return tuple(ev(vals) for ev in evs)
 
     return evaluate
@@ -322,28 +352,19 @@ def jet_at(model, params, state, t=0.0, u_jet=(), order=1):
 
 def state_jet(model, params, state, order, u_jet=()):
     """Values of every state derivative up to the given order along the
-    vector field (x^(k) by iterated substitution of the dynamics)."""
+    vector field (x^(k) by iterated substitution of the dynamics), as
+    floats. Each input needs its jet u, u', ..., u^(order-1) in u_jet."""
     values = _param_vector(model, params)
-    ring = _lie_ring(model, order)
-    fs = [fi.rering(ring) for fi in model.f]
-    state_vars = [DiffVar(s, 0) for s in model.states]
-
-    def lie(p):
-        out = Poly.zero(ring, p.n)
-        for sv, fi in zip(state_vars, fs):
-            out = out + p.diff_wrt(sv) * fi
-        return out
-
-    vals = [0.0] * len(ring.vars)
-    for s, x in zip(model.states, state):
-        vals[ring.index[DiffVar(s, 0)]] = float(x)
+    ring, lie = _lie_derivative(model, order)
+    index = _point_index(model, order)
+    vals = _point_values(model, state, u_jet, order, float)
     out = {}
     for s in model.states:
         cur = Poly.var(ring, DiffVar(s, 0), model.nparams)
-        out[DiffVar(s, 0)] = _compile_poly(cur, values)(vals)
+        out[DiffVar(s, 0)] = _compile_poly(cur, index, values)(vals)
         for k in range(1, order + 1):
             cur = lie(cur)
-            out[DiffVar(s, k)] = _compile_poly(cur, values)(vals)
+            out[DiffVar(s, k)] = _compile_poly(cur, index, values)(vals)
     return out
 
 

@@ -285,7 +285,7 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
             def residual(r):
                 trial = dict(values)
                 trial[z] = r
-                return max(abs(_eval_partial(h, trial, pvec)) for h in cands[1:])
+                return max(abs(h.evaluate(trial, pvec)) for h in cands[1:])
             roots.sort(key=residual)
         values[z] = roots[0]
     return {v: values[v] for v in values if v.base in state_names}
@@ -308,14 +308,3 @@ def _univariate_roots(g, z, values, pvec):
     roots = np.roots(coeffs)
     scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
     return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)
-
-
-def _eval_partial(g, values, pvec):
-    total = 0.0
-    for exps, c in g.terms.items():
-        m = c.evaluate(pvec)
-        for i, e in enumerate(exps):
-            if e:
-                m *= values[g.ring.vars[i]] ** e
-        total += m
-    return total

@@ -294,6 +294,15 @@ def test_poly_rendering_roundtrip_shape():
     assert p.render(("a1", "a2")) == "(a1 + a2)*x - 3"
 
 
+def test_poly_evaluate_reads_only_used_variables():
+    # (a1 + a2)*x - 3 needs no value for y
+    ring, x, y = xy_ring()
+    n = 2
+    c = ParamRat(pp(n, {(1, 0): 1, (0, 1): 1}))
+    p = Poly(ring, {(1, 0): c, (0, 0): ParamRat.from_const(n, -3)}, n=n)
+    assert p.evaluate({x: 2.0}, [1.5, 0.25]) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # term-dict kernels
 # ---------------------------------------------------------------------------

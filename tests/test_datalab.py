@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from paramvariety.errors import (
     InsufficientData,
     JetOrderMismatch,
 )
-from paramvariety.model import parse_model
+from paramvariety.model import load_model, parse_model
 
 SUBJECTS = {
     "1-H": dict(a4=0.0, a5=0.75, a7=6.9, t0=10 / 24, x3=4.1e6),
@@ -136,6 +137,7 @@ def test_lv_trajectory_settles(lv_model):
 
 
 def test_blowup_reported():
+    # x1 = 5/(1 - 5t) blows up at t = 0.2; x1**2 raises OverflowError
     src = """
 states: x1
 output: y
@@ -145,9 +147,125 @@ dx1/dt = a1*x1^2
 y = x1
 """
     model = parse_model(src)
-    with pytest.raises(BlowUp) as err:
+    with pytest.raises(BlowUp, match="state overflowed") as err:
         integrate_model(model, {"a1": 1.0}, [5.0], [0.0, 1.0])
-    assert err.value.time is not None
+    assert 0.0 < err.value.time <= 1.0
+
+
+def test_blowup_non_finite():
+    # every exponent is 1, so the products overflow to inf without raising;
+    # x2 - x1 stays 1 and x1' = x1 (x1 + 1) blows up at t = ln 2
+    src = """
+states: x1 x2
+output: y
+params: a1
+horizon: 0 5
+dx1/dt = x1*x2
+dx2/dt = x1*x2
+y = x1
+"""
+    model = parse_model(src)
+    with pytest.raises(BlowUp, match="state became non-finite") as err:
+        integrate_model(model, {"a1": 1.0}, [1.0, 2.0], [0.0, 1.0])
+    assert 0.0 < err.value.time <= 1.0
+
+
+# nominal parameters and initial states of the bundled models
+NOMINAL = {
+    "decay": ({"a1": -0.4}, lambda p: [2.0]),
+    "viral": ({"a4": 0.16, "a5": 0.95, "a6": 1.0, "a7": 5.6},
+              lambda p: [p["a7"] / p["a6"] * 1.0e6, 1.0e6]),
+    "lotka_volterra": ({"a1": 1.0, "a2": 0.5, "a3": 5.0, "a4": 1.0,
+                        "a5": 0.2, "a6": 2.4}, lambda p: [1.0, 2.0]),
+    "virus_full": ({"a1": 1.525e6, "a2": 0.01, "a3": 3e-7, "a4": 0.3,
+                    "a5": 0.9, "a6": 2.0, "a7": 5.0},
+                   lambda p: [p["a4"] * p["a7"] / (p["a3"] * p["a6"]),
+                              p["a7"] / p["a6"] * 2.0e6, 2.0e6]),
+}
+
+
+def _numpy_rk4_reference(model, params, x0, grid):
+    """The numpy RK4 that integrate_model's float loop replaced: a ring-
+    aligned right-hand side over every exponent, numpy stage expressions
+    and the same halving loop. Returns (states, outputs, halvings)."""
+    values = [float(params[p]) for p in model.params]
+    ring = model.ring0()
+    state_idx = [ring.index[DiffVar(s, 0)] for s in model.states]
+
+    def compiled(poly):
+        terms = [(c.evaluate(values), exps) for exps, c in poly.terms.items()]
+
+        def ev(x):
+            vals = [0.0] * len(ring.vars)
+            for i, j in enumerate(state_idx):
+                vals[j] = x[i]
+            total = 0.0
+            for c, exps in terms:
+                m = c
+                for i, e in enumerate(exps):
+                    if e:
+                        m *= vals[i] ** e
+                total += m
+            return total
+
+        return ev
+
+    fs = [compiled(fi) for fi in model.f]
+    g = compiled(model.g)
+
+    def rhs(x):
+        return np.array([f(x) for f in fs])
+
+    def segment(x, t0, t1, nsteps):
+        h = (t1 - t0) / nsteps
+        for _ in range(nsteps):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * h * k1)
+            k3 = rhs(x + 0.5 * h * k2)
+            k4 = rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x
+
+    grid = np.asarray(grid, dtype=float)
+
+    def run(mult):
+        states = [np.asarray(x0, dtype=float)]
+        for a, b in zip(grid, grid[1:]):
+            nsteps = max(4, math.ceil((b - a) * 64)) * mult
+            states.append(segment(states[-1], a, b, nsteps))
+        return np.array(states)
+
+    states, mult, halvings = run(1), 1, 0
+    for _ in range(3):
+        finer = run(mult * 2)
+        halvings += 1
+        scale = np.maximum(1e-300, np.abs(finer))
+        if np.max(np.abs(finer - states) / scale) < 1e-8:
+            states = finer
+            break
+        states, mult = finer, mult * 2
+    return states, np.array([g(x) for x in states]), halvings
+
+
+@pytest.mark.parametrize("name, grid, halvings", [
+    ("decay", [0.0, 1.0, 2.0, 3.0], 1),
+    ("viral", [0.0, 2.0], 1),
+    ("viral", [0.0, 0.3, 1.0], 3),
+    ("lotka_volterra", [0.0, 1.0, 2.0, 3.0], 3),
+    ("virus_full", [0.0, 2.0], 1),
+    ("virus_full", [0.0, 1.0], 2),
+    ("virus_full", [0.0, 0.3, 1.0], 3),
+])
+def test_rk4_bit_identical_to_numpy_reference(name, grid, halvings):
+    model = load_model(Path(__file__).resolve().parent.parent / "models"
+                       / f"{name}.model")
+    params, x0 = NOMINAL[name]
+    states, outputs, done = _numpy_rk4_reference(model, params, x0(params),
+                                                 grid)
+    assert done == halvings
+    traj = integrate_model(model, params, x0(params), grid)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.outputs, outputs)
 
 
 def test_assumption_violation_rejected(viral_model):
@@ -317,6 +435,26 @@ def test_finite_difference_dataset(viral_model):
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-2, abs=1e-6)
     assert all(s.startswith("finite_difference") for s in ds.sources)
+
+
+def test_state_jet_uses_input_jet():
+    # x1' = a1 x1 + u = 2 + 3 and x1'' = a1 x1' + u' = 5 + 5
+    src = """
+states: x1
+inputs: u
+output: y
+params: a1
+horizon: 0 1
+dx1/dt = a1*x1 + u
+y = x1
+"""
+    model = parse_model(src)
+    jets = state_jet(model, {"a1": 1.0}, [2.0], order=2, u_jet=((3.0, 5.0),))
+    assert jets[DiffVar("x1", 0)] == 2.0
+    assert jets[DiffVar("x1", 1)] == 5.0
+    assert jets[DiffVar("x1", 2)] == 10.0
+    with pytest.raises(JetOrderMismatch):
+        state_jet(model, {"a1": 1.0}, [2.0], order=2, u_jet=((3.0,),))
 
 
 def test_steady_state_consistency(virus_full_model):
