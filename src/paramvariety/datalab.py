@@ -170,10 +170,9 @@ _MAX_HALVINGS = 3
 def _rk4_segment(rhs, x, t0, t1, nsteps):
     """nsteps classical RK4 substeps from t0 to t1 on Python floats; returns
     the state as a list."""
-    h = (float(t1) - float(t0)) / nsteps
+    h = (t1 - t0) / nsteps
     half = 0.5 * h
     sixth = h / 6.0
-    x = [float(v) for v in x]
     for k in range(nsteps):
         try:
             k1 = rhs(x)
