@@ -14,14 +14,10 @@ from .algebra import (
     ParamPoly,
     ParamRat,
     Poly,
-    leading_term,
-    lex_compare,
     poly_divide,
-    rat_arith,
 )
 from .groebner import (
     GBLimits,
-    IdealGens,
     ReducedGB,
     buchberger,
     elimination_subset,

@@ -17,8 +17,10 @@ kernels need only ``+``, ``-``, ``*`` and truth testing of the coefficients,
 so ParamPoly (int/Fraction) and Poly (ParamRat) share them; the Groebner
 engine and the extension check import them from here.
 
-Floating point is forbidden here; every operation is exact. All values are
-immutable after construction, so they are safe to share between threads.
+Floating point is forbidden in the arithmetic; every operation is exact,
+and only the evaluators (``evaluate`` and ``compile_poly``, the one numeric
+evaluator of a Poly) return floats. All values are immutable after
+construction, so they are safe to share between threads.
 
 Canonical form of a ParamRat: coefficients are cleared to integers, the
 integer gcd across numerator and denominator is 1, numerator and denominator
@@ -259,9 +261,6 @@ class ParamPoly:
             raise ZeroPolynomial("zero parameter polynomial has no leading term")
         m = max(self.terms)
         return m, self.terms[m]
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- arithmetic
 
@@ -625,18 +624,11 @@ def _shift_down(p, shift):
     return ParamPoly(p.n, terms, _checked=True)
 
 
-def rat_arith(op, a, b=None):
-    """Field operations on coefficient values; results are canonical.
-
-    op is one of 'add', 'mul', 'inv' (b unused for 'inv').
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown operation {op!r}")
+def render_monomial(exps, names):
+    """The factors name^e of the nonzero exponents joined by '*' (name
+    alone for e = 1); the empty string for the unit monomial."""
+    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                    for i, e in enumerate(exps) if e)
 
 
 def _render_terms(terms, names):
@@ -645,13 +637,7 @@ def _render_terms(terms, names):
     parts = []
     for exps in sorted(terms, reverse=True):
         c = terms[exps]
-        factors = []
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
-        mono = "*".join(factors)
+        mono = render_monomial(exps, names)
         c = Fraction(c)
         if not mono:
             body = str(c) if c > 0 else str(-c)
@@ -727,10 +713,6 @@ class MonomialOrder:
 
     def __repr__(self):
         return "MonomialOrder(" + " > ".join(str(v) for v in self.vars) + ")"
-
-
-def lex_compare(m1, m2, order):
-    return order.compare(m1, m2)
 
 
 class Poly:
@@ -935,28 +917,16 @@ class Poly:
         """Numeric value; var_values maps DiffVar -> float and needs only
         the variables the terms use, param_values is aligned with parameter
         declaration order."""
-        ring_vars = self.ring.vars
-        total = 0.0
-        for exps, c in self.terms.items():
-            m = c.evaluate(param_values)
-            for i, e in enumerate(exps):
-                if e:
-                    m *= var_values[ring_vars[i]] ** e
-            total += m
-        return total
+        identity = {v: v for v in self.ring.vars}
+        return compile_poly(self, identity, param_values)(var_values)
 
     def render(self, names):
         if not self.terms:
             return "0"
+        var_names = [str(v) for v in self.ring.vars]
         parts = []
         for exps, c in self.terms_sorted():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(str(self.ring.vars[i]))
-                elif e > 1:
-                    factors.append(f"{self.ring.vars[i]}^{e}")
-            mono = "*".join(factors)
+            mono = render_monomial(exps, var_names)
             cs = c.render(names)
             negated = False
             if cs == "1" and mono:
@@ -979,19 +949,40 @@ class Poly:
         return f"Poly[{self.render(names)}]"
 
 
-def leading_term(p, order=None):
-    if order is not None and order != p.ring:
-        raise RingMismatch("polynomial does not live in the given order")
-    return p.leading_term()
+def compile_poly(p, index, values, exact=False):
+    """Compile a Poly at fixed parameter values into a function of the
+    caller's value vector; index maps each variable of p's ring that p uses
+    to its position in that vector.
+
+    Each term keeps only its nonzero exponents, in ring order, so an
+    evaluation does the same multiplications in the same order as a walk
+    over the full exponent vector. With exact=True the coefficients are
+    evaluated as Fractions, so Fraction inputs give the exact value."""
+    ring_vars = p.ring.vars
+    terms = [(c.evaluate_exact(values) if exact else c.evaluate(values),
+              tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
+             for exps, c in p.terms.items()]
+    zero = Fraction(0) if exact else 0.0
+
+    def ev(vals):
+        total = zero
+        for m, factors in terms:
+            for pos, e in factors:
+                if e == 1:
+                    m *= vals[pos]
+                else:
+                    m *= vals[pos] ** e
+            total += m
+        return total
+
+    return ev
 
 
-def poly_divide(f, divisors, order=None):
+def poly_divide(f, divisors):
     """Multivariate division: f = sum(q_i * g_i) + r with no monomial of r
     divisible by any divisor's leading monomial. Deterministic: the first
     divisor in list order whose leading monomial divides is used."""
     ring = f.ring
-    if order is not None and order != ring:
-        raise RingMismatch("polynomial does not live in the given order")
     lead = []
     for g in divisors:
         if g.ring != ring:

@@ -16,26 +16,26 @@ cap, 5 internal invariant violation.
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
 
-import numpy as np
-
 from . import __version__
-from .datalab import make_dataset, read_dataset, write_dataset
+from .algebra import ParamRat, Poly
+from .datalab import check_assumptions, make_dataset, read_dataset, write_dataset
 from .errors import (
     EXIT_USAGE,
     IllConditioned,
     InsufficientData,
     NoParameterDependence,
     ParamVarietyError,
+    UsageError,
 )
 from .ioeq import derive_io_basis
 from .model import load_model, _ExprParser, _Tokens
 from .extension import run_extension_check
 from .variety import (
-    COND_THRESHOLD,
     build_linear_system,
     sample_variety,
     solve_coefficients,
@@ -66,7 +66,7 @@ def _parse_assignments(text, what):
         if not piece:
             continue
         if "=" not in piece:
-            raise ParamVarietyError(f"bad {what} entry {piece!r}; expected name=value")
+            raise UsageError(f"bad {what} entry {piece!r}; expected name=value")
         name, value = piece.split("=", 1)
         out[name.strip()] = value.strip()
     return out
@@ -77,63 +77,80 @@ def _eval_param_expr(text, model, params):
     (used for initial-condition entries like x2=(a7/a6)*4.1e6)."""
     n = model.nparams
     ring = model.ring0()
-    from .algebra import ParamRat, Poly
     symbols = {p: (lambda i=i: Poly.const(ring, ParamRat.gen(n, i)))
                for i, p in enumerate(model.params)}
     value = _ExprParser(_Tokens(text, 1), symbols, ring, n, 1).parse()
     rat = value.terms.get((0,) * len(ring.vars))
     if value.support_vars() or (rat is None and not value.is_zero):
-        raise ParamVarietyError(f"expression {text!r} must involve parameters only")
+        raise UsageError(f"expression {text!r} must involve parameters only")
     if rat is None:
         return 0.0
     return rat.evaluate([params[p] for p in model.params])
 
 
+def _number(text, what):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{what}: {text!r} is not a finite number")
+    return value
+
+
 def _collect_params(args, model):
     if not args.params:
-        raise ParamVarietyError("missing --params name=value,...")
+        raise UsageError("missing --params name=value,...")
     raw = _parse_assignments(args.params, "--params")
     params = {}
     for name, value in raw.items():
         if name not in model.params:
-            raise ParamVarietyError(f"unknown parameter {name!r}")
-        params[name] = float(value)
+            raise UsageError(f"unknown parameter {name!r}")
+        params[name] = _number(value, f"--params {name}")
     missing = [p for p in model.params if p not in params]
     if missing:
-        raise ParamVarietyError(f"missing value for parameter {missing[0]!r}")
+        raise UsageError(f"missing value for parameter {missing[0]!r}")
+    # checked before any --x0 expression can divide by a vanishing parameter
+    check_assumptions(model, params)
     return params
 
 
 def _collect_x0(args, model, params):
     if not args.x0:
-        raise ParamVarietyError("missing --x0 name=expr,... (expressions may "
-                                "use the parameters)")
+        raise UsageError("missing --x0 name=expr,... (expressions may use the "
+                         "parameters)")
     raw = _parse_assignments(args.x0, "--x0")
     x0 = []
     for s in model.states:
         if s not in raw:
-            raise ParamVarietyError(f"missing initial value for state {s!r}")
+            raise UsageError(f"missing initial value for state {s!r}")
         x0.append(_eval_param_expr(raw[s], model, params))
     return x0
 
 
-def _times_from_args(args, model, default_rows):
+def _t0(args, model):
+    return args.t0 if args.t0 is not None else model.horizon[0]
+
+
+def _times_from_args(args, model, default_rows, rng):
+    """The --times values, or --n-times (default default_rows) times drawn
+    from rng over [t0, horizon end]."""
     if args.times:
-        return sorted(float(t) for t in args.times.split(","))
-    k = args.n_times or default_rows
-    t0 = args.t0 if args.t0 is not None else model.horizon[0]
-    rng = random.Random(args.seed)
+        return sorted(_number(t, "--times") for t in args.times.split(","))
+    k = default_rows if args.n_times is None else args.n_times
+    if k < 1:
+        raise UsageError(f"--n-times must be at least 1, got {k}")
+    t0 = _t0(args, model)
     span = model.horizon[1] - t0
     return sorted(t0 + span * rng.random() for _ in range(k))
 
 
-def _generate_dataset(args, model, order, default_rows):
+def _generate_dataset(args, model, order, default_rows, rng):
     params = _collect_params(args, model)
     x0 = _collect_x0(args, model, params)
-    times = _times_from_args(args, model, default_rows)
-    t0 = args.t0 if args.t0 is not None else model.horizon[0]
-    return make_dataset(model, params, x0, times, order=order, t0=t0,
-                        method=args.method)
+    times = _times_from_args(args, model, default_rows, rng)
+    return make_dataset(model, params, x0, times, order=order,
+                        t0=_t0(args, model), method=args.method)
 
 
 def _write_lines(path, lines):
@@ -156,8 +173,7 @@ def cmd_ioeq(args):
                      [f"# {m}" for m in meta] + [f"# note: {exc}"])
         print(f"note: {exc}")
         return 0
-    lines = [f"# {m}" for m in meta]
-    lines += [f"L = {basis.L}", f"coefficients = {basis.n_coeffs}", basis.render()]
+    lines = [f"# {m}" for m in meta] + basis.summary().splitlines()
     path = os.path.join(args.out, "ioeq.txt")
     _write_lines(path, lines)
     print(f"wrote {path} (L = {basis.L}, {basis.n_coeffs} coefficients)")
@@ -167,7 +183,8 @@ def cmd_ioeq(args):
 def cmd_pseudo(args):
     model = load_model(args.model)
     basis = derive_io_basis(model)
-    dataset = _generate_dataset(args, model, basis.L, basis.n_coeffs)
+    dataset = _generate_dataset(args, model, basis.L, basis.n_coeffs,
+                                random.Random(args.seed))
     path = os.path.join(args.out, "dataset.csv")
     write_dataset(path, dataset, header_comments=_metadata(args, model=args.model))
     print(f"wrote {path} ({len(dataset.times)} rows, jets to order {dataset.order})")
@@ -177,6 +194,26 @@ def cmd_pseudo(args):
 def _solve_from_dataset(basis, dataset):
     matrix, rhs = build_linear_system(basis, dataset)
     return solve_coefficients(matrix, rhs)
+
+
+def _solve_generated(args, model, basis):
+    """Generate pseudo-data and solve it; random times are drawn again, up
+    to 10 times, while the system stays ill-conditioned."""
+    rng = random.Random(args.seed)
+
+    def attempt():
+        dataset = _generate_dataset(args, model, basis.L, basis.n_coeffs, rng)
+        return _solve_from_dataset(basis, dataset)
+
+    if args.times:
+        return attempt()
+    for _ in range(10):
+        try:
+            return attempt()
+        except IllConditioned as exc:
+            last_exc = exc
+    raise IllConditioned(
+        f"no well-conditioned time sample found in 10 draws: {last_exc}")
 
 
 def _branch_note(eq, names):
@@ -207,34 +244,7 @@ def cmd_variety(args):
                 f"points; {args.data} has {len(dataset.times)}")
         result = _solve_from_dataset(basis, dataset)
     else:
-        params = _collect_params(args, model)
-        x0 = _collect_x0(args, model, params)
-        t0 = args.t0 if args.t0 is not None else model.horizon[0]
-        if args.times:
-            times = sorted(float(t) for t in args.times.split(","))
-            dataset = make_dataset(model, params, x0, times, order=basis.L,
-                                   t0=t0, method=args.method)
-            result = _solve_from_dataset(basis, dataset)
-        else:
-            # random times, resampled while the system stays ill-conditioned
-            rng = random.Random(args.seed)
-            k = args.n_times or basis.n_coeffs
-            last_exc = None
-            for _ in range(10):
-                span = model.horizon[1] - t0
-                times = sorted(t0 + span * rng.random() for _ in range(k))
-                try:
-                    dataset = make_dataset(model, params, x0, times,
-                                           order=basis.L, t0=t0,
-                                           method=args.method)
-                    result = _solve_from_dataset(basis, dataset)
-                    break
-                except IllConditioned as exc:
-                    last_exc = exc
-            else:
-                raise IllConditioned(
-                    f"no well-conditioned time sample found in 10 draws: "
-                    f"{last_exc}")
+        result = _solve_generated(args, model, basis)
 
     assumptions = list(model.assume_nonzero)
     # embed what we print: 10 significant digits, with solve noise below
@@ -308,13 +318,14 @@ def _parse_ranges(text):
     ranges = {}
     for name, value in _parse_assignments(text, "--ranges").items():
         lo, _, hi = value.partition(":")
-        ranges[name] = (float(lo), float(hi))
+        what = f"--ranges {name}"
+        ranges[name] = (_number(lo, what), _number(hi, what))
     return ranges
 
 
 def _emit_samples(args, model, constraints, meta):
     if not args.ranges:
-        raise ParamVarietyError("sampling needs --ranges name=lo:hi,...")
+        raise UsageError("sampling needs --ranges name=lo:hi,...")
     ranges = _parse_ranges(args.ranges)
     free = [p.strip() for p in (args.free or "").split(",") if p.strip()]
     result = sample_variety(constraints, free, ranges, args.samples)
@@ -334,8 +345,8 @@ def _emit_samples(args, model, constraints, meta):
             continue
         px, _, py = pair.partition(":")
         if px not in cparams or py not in cparams:
-            raise ParamVarietyError(f"--axes pair {pair!r} must name "
-                                    f"constraint parameters {cparams}")
+            raise UsageError(f"--axes pair {pair!r} must name constraint "
+                             f"parameters {cparams}")
         svg_path = os.path.join(args.out, f"variety_{px}_{py}.svg")
         _write_svg(svg_path,
                    [pt[px] for pt in result.points],
@@ -364,11 +375,12 @@ def cmd_sample(args):
         v = list(result.v)
     elif args.v:
         v = [x.strip() for x in args.v.split(",")]
+        for x in v:
+            _number(x, "--v")
         if len(v) != basis.n_coeffs:
-            raise ParamVarietyError(
-                f"--v needs {basis.n_coeffs} comma-separated values")
+            raise UsageError(f"--v needs {basis.n_coeffs} comma-separated values")
     else:
-        raise ParamVarietyError("sample needs --data or --v")
+        raise UsageError("sample needs --data or --v")
     constraints = variety_constraints(basis, v,
                                       assumptions=model.assume_nonzero)
     meta = _metadata(args, model=args.model, data=args.data)

@@ -16,13 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DiffVar, MonomialOrder, ParamRat, Poly
+from .algebra import DiffVar, MonomialOrder, ParamRat, Poly, compile_poly
 from .errors import (
     BlowUp,
     DatasetFormatError,
     DegenerateEigenvalues,
     InsufficientData,
     JetOrderMismatch,
+    UsageError,
 )
 
 
@@ -59,7 +60,7 @@ class DataSet:
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
+            raise UsageError("times must be strictly increasing")
         orders = {len(j) for j in self.y_jets}
         if len(orders) > 1:
             raise JetOrderMismatch("rows carry different jet orders")
@@ -103,38 +104,9 @@ def check_assumptions(model, params):
     values = _param_vector(model, params)
     for poly in model.assume_nonzero:
         if poly.evaluate(values) == 0.0:
-            raise ValueError(
+            raise UsageError(
                 f"parameter point violates nonzero assumption "
                 f"{poly.render(model.params)} != 0")
-
-
-def _compile_poly(p, index, values, exact=False):
-    """Compile a Poly at fixed parameter values into a function of the
-    caller's value vector; index maps each variable of p's ring that p uses
-    to its position in that vector.
-
-    Each term keeps only its nonzero exponents, in ring order, so an
-    evaluation does the same multiplications in the same order as a walk
-    over the full exponent vector. With exact=True the coefficients are
-    evaluated as Fractions, so Fraction inputs give the exact value."""
-    ring_vars = p.ring.vars
-    terms = [(c.evaluate_exact(values) if exact else c.evaluate(values),
-              tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
-             for exps, c in p.terms.items()]
-    zero = Fraction(0) if exact else 0.0
-
-    def ev(vals):
-        total = zero
-        for m, factors in terms:
-            for pos, e in factors:
-                if e == 1:
-                    m *= vals[pos]
-                else:
-                    m *= vals[pos] ** e
-            total += m
-        return total
-
-    return ev
 
 
 def _state_index(model):
@@ -150,7 +122,7 @@ def _rhs_function(model, params):
             "trajectories; none of the bundled case studies use them")
     values = _param_vector(model, params)
     index = _state_index(model)
-    fs = [_compile_poly(fi, index, values) for fi in model.f]
+    fs = [compile_poly(fi, index, values) for fi in model.f]
 
     def rhs(x):
         return [f(x) for f in fs]
@@ -208,10 +180,10 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
     if grid.ndim != 1 or len(grid) < 1:
         raise ValueError("grid must be a non-empty 1-D array of times")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid times must be strictly increasing")
+        raise UsageError("grid times must be strictly increasing")
     t0, t1 = model.horizon
     if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
-        raise ValueError(f"grid leaves the model horizon [{t0}, {t1}]")
+        raise UsageError(f"grid leaves the model horizon [{t0}, {t1}]")
     rhs = _rhs_function(model, params)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.nstates,):
@@ -237,7 +209,7 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
             break
         states, mult = finer, mult * 2
 
-    g = _compile_poly(model.g, _state_index(model), _param_vector(model, params))
+    g = compile_poly(model.g, _state_index(model), _param_vector(model, params))
     outputs = [g(x) for x in states.tolist()]
     return Trajectory(times=grid, states=states, outputs=np.array(outputs),
                       params=dict(params), x0=x0)
@@ -327,7 +299,7 @@ def _jet_evaluator(model, params, order):
     _, jets = output_jet_polys(model, order)
     values = [_exact_value(a) for a in _param_vector(model, params)]
     index = _point_index(model, order)
-    evs = [_compile_poly(p, index, values, exact=True) for p in jets]
+    evs = [compile_poly(p, index, values, exact=True) for p in jets]
 
     def evaluate(state, u_jet=()):
         vals = _point_values(model, state, u_jet, order, _exact_value)
@@ -360,10 +332,10 @@ def state_jet(model, params, state, order, u_jet=()):
     out = {}
     for s in model.states:
         cur = Poly.var(ring, DiffVar(s, 0), model.nparams)
-        out[DiffVar(s, 0)] = _compile_poly(cur, index, values)(vals)
+        out[DiffVar(s, 0)] = compile_poly(cur, index, values)(vals)
         for k in range(1, order + 1):
             cur = lie(cur)
-            out[DiffVar(s, k)] = _compile_poly(cur, index, values)(vals)
+            out[DiffVar(s, k)] = compile_poly(cur, index, values)(vals)
     return out
 
 
@@ -472,7 +444,7 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic",
         t0 = model.horizon[0]
     if method == "exact-viral":
         if not is_viral_template(model):
-            raise ValueError("closed form applies only to the bundled viral "
+            raise UsageError("closed form applies only to the bundled viral "
                              "decay template model")
         if order != 2:
             raise ValueError("the viral closed form provides jets to order 2")
@@ -483,7 +455,7 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic",
                        sources=["exact_solution"] * len(times))
     if method == "symbolic":
         if times[0] < t0 - 1e-12:
-            raise ValueError("measurement times must not precede the initial time")
+            raise UsageError("measurement times must not precede the initial time")
         grid = [t0] + [t for t in times if t > t0 + 1e-15]
         traj = integrate_model(model, params, x0, grid)
         jet = _jet_evaluator(model, params, order)

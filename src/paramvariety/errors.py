@@ -15,6 +15,12 @@ class ParamVarietyError(Exception):
     exit_code = EXIT_INTERNAL
 
 
+class UsageError(ParamVarietyError, ValueError):
+    """A value given on the command line or to a library call that is
+    malformed, out of range or inconsistent with the model."""
+    exit_code = EXIT_USAGE
+
+
 # --- algebra layer ---------------------------------------------------------
 
 class DivisionByZero(ParamVarietyError):

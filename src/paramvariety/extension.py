@@ -17,21 +17,21 @@ certified variety points really extend to full solutions.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
-
-from math import gcd, lcm
 
 from .algebra import (
     DiffVar,
     ParamPoly,
+    ParamRat,
     Poly,
     dict_div_int,
     dict_int_content,
     exact_divide,
 )
 from .errors import MissingLeading
-from .groebner import ReducedGB
 
 VERDICT_CONST = "EmptyByConstant"
 VERDICT_ASSUMED = "EmptyByAssumption"
@@ -59,18 +59,11 @@ class ExtensionReport:
         lines = ["extension check (leading coefficients per eliminated variable)"]
         width = max(len(str(e.var)) for e in self.entries)
         for e in self.entries:
-            rendered = ", ".join(_render_entry(p, self.param_names)
-                                 for p in e.leading)
+            rendered = ", ".join(p.render(self.param_names) for p in e.leading)
             lines.append(f"  P_{e.index}  z = {str(e.var):<{width}}  "
                          f"{{{rendered}}}  -> {e.verdict}")
         lines.append(f"overall: {self.overall}")
         return "\n".join(lines)
-
-
-def _render_entry(p, names):
-    if isinstance(p, ParamPoly):
-        return p.render(names)
-    return p.render(names)
 
 
 def _state_jet_vars(model, ring):
@@ -84,8 +77,6 @@ def clear_denominators(poly):
     coefficient becomes a parameter polynomial with integer content, the
     overall content is 1, and the leading term's leading parameter
     coefficient is positive. Returns {monomial exponents: ParamPoly}."""
-    from fractions import Fraction
-
     common = ParamPoly.const(poly.n, 1)
     for c in poly.terms.values():
         if c.den.is_constant and c.den.constant_value() == 1:
@@ -129,7 +120,7 @@ def extension_sets(model, gb):
     the basis elements whose leading variable is z_j; an empty P_j is an
     error, since the sufficient condition cannot even be stated.
     """
-    basis = gb.basis if isinstance(gb, ReducedGB) else tuple(gb)
+    basis = tuple(gb)
     ring = basis[0].ring
     zvars = _state_jet_vars(model, ring)
     by_leading = {}
@@ -157,7 +148,6 @@ def extension_sets(model, gb):
             if len(lead_terms) == 1 and not any(next(iter(lead_terms))):
                 entry = next(iter(lead_terms.values()))
             else:
-                from .algebra import ParamRat
                 entry = Poly(ring, {m: ParamRat(p) for m, p in lead_terms.items()},
                              n=g.n, _checked=False)
             entries.append(entry)
@@ -172,17 +162,9 @@ def extension_sets(model, gb):
 def _dedupe(entries):
     out = []
     for e in entries:
-        if not any(_same(e, o) for o in out):
+        if e not in out:
             out.append(e)
     return out
-
-
-def _same(a, b):
-    if isinstance(a, ParamPoly) and isinstance(b, ParamPoly):
-        return a == b
-    if isinstance(a, Poly) and isinstance(b, Poly):
-        return a == b
-    return False
 
 
 def is_unit_under(p, assumptions):
@@ -205,8 +187,9 @@ def is_unit_under(p, assumptions):
     return p.is_constant and not p.is_zero
 
 
-def check_extension(sets, assumptions=()):
-    """Apply the sufficient condition to the per-variable leading sets.
+def check_extension(sets, assumptions=(), param_names=()):
+    """Apply the sufficient condition to the per-variable leading sets;
+    param_names are the names the report renders the parameters with.
 
     Per variable: EmptyByConstant when some cleared coefficient is a nonzero
     constant, EmptyByAssumption when some coefficient is a unit under the
@@ -230,15 +213,13 @@ def check_extension(sets, assumptions=()):
     overall = CERTIFIED if all(e.verdict != VERDICT_UNKNOWN for e in entries) \
         else INCONCLUSIVE
     return ExtensionReport(entries=tuple(entries), overall=overall,
-                           param_names=())
+                           param_names=tuple(param_names))
 
 
 def run_extension_check(model, gb):
     """extension_sets + check_extension with the model's own assumptions."""
-    sets = extension_sets(model, gb)
-    report = check_extension(sets, model.assume_nonzero)
-    return ExtensionReport(entries=report.entries, overall=report.overall,
-                           param_names=model.params)
+    return check_extension(extension_sets(model, gb), model.assume_nonzero,
+                           model.params)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +236,7 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
     against the remaining candidates. Returns {DiffVar: value} for the state
     jet up to the requested order (default: everything in the ring).
     """
-    basis = gb.basis if isinstance(gb, ReducedGB) else tuple(gb)
+    basis = tuple(gb)
     ring = basis[0].ring
     values = dict(jet_values)
     pvec = [float(params[p]) for p in model.params]
@@ -292,15 +273,15 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
 
 
 def _univariate_roots(g, z, values, pvec):
+    """Real roots in z of g with every other variable set from values."""
     zi = g.ring.index[z]
     d = g.degree_in(z)
-    coeffs = np.zeros(d + 1)
+    # the coefficient of z^k, highest power first, with z's exponent zeroed
+    parts = [{} for _ in range(d + 1)]
     for exps, c in g.terms.items():
-        m = c.evaluate(pvec)
-        for i, e in enumerate(exps):
-            if e and i != zi:
-                m *= values[g.ring.vars[i]] ** e
-        coeffs[d - exps[zi]] += m
+        parts[d - exps[zi]][exps[:zi] + (0,) + exps[zi + 1:]] = c
+    coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
+              for t in parts]
     if d == 1:
         if coeffs[0] == 0.0:
             return []

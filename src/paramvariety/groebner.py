@@ -10,20 +10,13 @@ from dataclasses import dataclass
 
 from .algebra import (
     MonomialOrder,
-    Poly,
-    dict_axpy,
     expvec_add,
     expvec_divides,
     expvec_lcm,
     expvec_sub,
+    poly_divide,
 )
 from .errors import RingMismatch, ResourceExhausted, ZeroPolynomial
-
-
-@dataclass(frozen=True)
-class IdealGens:
-    gens: tuple
-    order: MonomialOrder
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,9 @@ class GBLimits:
         )
 
 
-def s_polynomial(f, g, order=None):
+def s_polynomial(f, g):
     """LCM combination of f and g whose leading terms cancel."""
-    if f.ring != g.ring or (order is not None and order != f.ring):
+    if f.ring != g.ring:
         raise RingMismatch("s-polynomial operands live in different rings")
     lm_f, lc_f = f.leading_term()
     lm_g, lc_g = g.leading_term()
@@ -68,44 +61,21 @@ def s_polynomial(f, g, order=None):
 def reduce_poly(p, basis):
     """Full normal form of p against a list of nonzero polynomials: every
     monomial of the result is divisible by no basis leading monomial."""
-    if p.is_zero or not basis:
-        return p
-    lead = [g.leading_term() for g in basis]
-    work = dict(p.terms)
-    rem = {}
-    while work:
-        mono = max(work)
-        coeff = work[mono]
-        for i, (lm, lc) in enumerate(lead):
-            if expvec_divides(lm, mono):
-                q = coeff if lc.is_one else coeff / lc
-                dict_axpy(work, -q, expvec_sub(mono, lm), basis[i].terms)
-                break
-        else:
-            rem[mono] = coeff
-            del work[mono]
-    return Poly(p.ring, rem, n=p.n, _checked=True)
+    return poly_divide(p, basis)[1]
 
 
-def _as_gens(gens_or_ideal, order):
-    if isinstance(gens_or_ideal, IdealGens):
-        return list(gens_or_ideal.gens), gens_or_ideal.order
-    gens = list(gens_or_ideal)
-    if order is None:
-        if not gens:
-            raise ValueError("empty generator list")
-        order = gens[0].ring
-    return gens, order
-
-
-def buchberger(gens_or_ideal, order=None, limits=None):
-    """Groebner basis of the ideal generated by the inputs.
+def buchberger(gens, order=None, limits=None):
+    """Groebner basis of the ideal generated by a list of polynomials.
 
     Normal (minimal-LCM) pair selection with Buchberger's coprimality and
     chain criteria. Raises ResourceExhausted with progress information if a
     configured cap is hit.
     """
-    gens, order = _as_gens(gens_or_ideal, order)
+    gens = list(gens)
+    if not gens:
+        raise ValueError("empty generator list")
+    if order is None:
+        order = gens[0].ring
     limits = limits or GBLimits.from_env()
     basis = []
     for g in gens:
@@ -116,8 +86,6 @@ def buchberger(gens_or_ideal, order=None, limits=None):
         g = g.monic()
         if not any(g == h for h in basis):
             basis.append(g)
-    if not basis:
-        raise ValueError("empty generator list")
 
     lms = [g.leading_term()[0] for g in basis]
     pairs = {}
@@ -183,17 +151,14 @@ def reduce_basis(gb, order=None):
         if any(expvec_divides(h.leading_term()[0], lm) for h in minimal):
             continue
         minimal.append(g)
-    # inter-reduce tails to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1:]
-            r = reduce_poly(g, others)
-            if not (r == g):
-                minimal[i] = r.monic()
-                changed = True
-    minimal.sort(key=lambda g: g.leading_term()[0])
+    # inter-reduce in one ascending pass: every tail term of minimal[i] lies
+    # below its leading monomial, hence below every later (lex-larger)
+    # leading monomial, none of which can divide it; so reducing against the
+    # earlier elements alone gives the reduced basis (Cox, Little and
+    # O'Shea, Ideals, Varieties, and Algorithms, 2.7). Leading monomials,
+    # and with them the ascending order, do not change.
+    for i, g in enumerate(minimal):
+        minimal[i] = reduce_poly(g, minimal[:i]).monic()
     return ReducedGB(tuple(minimal), order)
 
 

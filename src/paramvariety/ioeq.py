@@ -13,7 +13,7 @@ exceeding it signals a bug, not a property of the model.
 
 from dataclasses import dataclass, field, replace
 
-from .algebra import DiffVar, MonomialOrder, Poly
+from .algebra import MonomialOrder, Poly, render_monomial
 from .errors import InternalError, MultipleIOEquations, NoParameterDependence
 from .groebner import ReducedGB, buchberger, elimination_subset, reduce_basis
 from .model import jet_ring, prolong
@@ -49,16 +49,12 @@ class IOEquationBasis:
     def n_coeffs(self):
         return len(self.coeffs)
 
-    def mono_poly(self, k):
-        from .algebra import ParamRat
-        n = self.full.n
-        return Poly(self.ring, {self.monos[k]: ParamRat.one(n)}, n=n, _checked=True)
-
     def render(self):
         names = self.param_names
+        var_names = [str(v) for v in self.ring.vars]
         parts = []
         for mono, coeff in zip(self.monos, self.coeffs):
-            mono_s = _render_mono(self.ring, mono)
+            mono_s = render_monomial(mono, var_names) or "1"
             parts.append(f"({coeff.render(names)}) * {mono_s}")
         lhs = " + ".join(parts)
         rhs_s = self.rhs.render(names) if not self.rhs.is_zero else "0"
@@ -68,16 +64,6 @@ class IOEquationBasis:
         return (f"L = {self.L}\n"
                 f"coefficients = {self.n_coeffs}\n"
                 f"{self.render()}\n")
-
-
-def _render_mono(ring, exps):
-    factors = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            factors.append(str(ring.vars[i]))
-        elif e > 1:
-            factors.append(f"{ring.vars[i]}^{e}")
-    return "*".join(factors) if factors else "1"
 
 
 def _state_free_ring(model, i):

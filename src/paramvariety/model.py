@@ -12,7 +12,7 @@ Model file format (UTF-8 text, '#' comments, blank lines ignored)::
     dx3/dt = (1 - a5)*a6*x2 - a7*x3
     y = x3
 
-Expression grammar (see README for the full EBNF)::
+Expression grammar::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly
+from .algebra import DiffVar, MonomialOrder, ParamRat, Poly
 from .errors import (
     ModelSyntaxError,
     NonPolynomialModel,
@@ -57,9 +57,6 @@ class ModelSpec:
     @property
     def nstates(self):
         return len(self.states)
-
-    def param_index(self, name):
-        return self.params.index(name)
 
     def ring0(self):
         """Order-0 ring the right-hand sides live in."""

@@ -10,14 +10,14 @@ constraint polynomials are rationalized exactly (0.8512 -> 8512/10000).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ParamPoly, ParamRat
-from .errors import IllConditioned, InsufficientData, JetOrderMismatch
+from .algebra import ParamPoly
+from .errors import IllConditioned, InsufficientData, JetOrderMismatch, UsageError
 
 COND_THRESHOLD = 1e8
 
@@ -199,8 +199,11 @@ def variety_constraints(basis, v, assumptions=(), residual=0.0, cond=0.0):
     """Denominator-cleared polynomial equations c_l(a) = v_l.
 
     Each equation is q*num_l - p*den_l with v_l = p/q rationalized exactly,
-    normalized to integer content 1 and positive leading coefficient; it
-    vanishes at a exactly when c_l(a) = v_l and den_l(a) != 0.
+    normalized to integer content 1 and positive leading coefficient. Where
+    den_l(a) != 0 it vanishes exactly when c_l(a) = v_l; clearing the
+    denominator also makes it vanish at every common zero of num_l and
+    den_l, so the equations can cut out components on which c_l is not
+    defined. Neither the denominators nor the assumptions are imposed here.
     """
     if len(v) != basis.n_coeffs:
         raise ValueError(f"expected {basis.n_coeffs} coefficient values, got {len(v)}")
@@ -242,13 +245,13 @@ def sample_variety(constraints, free_params, ranges, n,
     free_params = tuple(free_params)
     for p in free_params:
         if p not in cparams:
-            raise ValueError(f"free parameter {p!r} does not appear in the "
+            raise UsageError(f"free parameter {p!r} does not appear in the "
                              "constraint equations")
     solved = tuple(p for p in cparams if p not in free_params)
     nontrivial = [eq for eq in constraints.equations if not eq.is_zero]
     for p in cparams:
         if p not in ranges:
-            raise ValueError(f"no range given for constraint parameter {p!r}")
+            raise UsageError(f"no range given for constraint parameter {p!r}")
 
     names = constraints.param_names
     name_idx = {p: i for i, p in enumerate(names)}

@@ -9,15 +9,11 @@ from paramvariety.algebra import (
     LT,
     DiffVar,
     MonomialOrder,
-    ParamPoly,
     ParamRat,
     Poly,
     dict_mul,
     exact_divide,
-    leading_term,
-    lex_compare,
     poly_divide,
-    rat_arith,
 )
 from paramvariety.errors import (
     DivisionByZero,
@@ -36,7 +32,7 @@ from .helpers import agens, pp, random_paramrat, random_poly, xy_ring
 def test_rat_add_simple():
     # a4 + a7 (the first-derivative coefficient of the viral IO equation)
     a4, a5, a6, a7 = agens(4)
-    s = rat_arith("add", a4, a7)
+    s = a4 + a7
     assert s == pp(4, {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1})
     assert s.den.is_constant and s.den.constant_value() == 1
 
@@ -44,14 +40,14 @@ def test_rat_add_simple():
 def test_rat_mul_triple_product():
     # a4*a5 times a7 gives the zeroth-order coefficient a4*a5*a7
     a4, a5, a6, a7 = agens(4)
-    prod = rat_arith("mul", rat_arith("mul", a4, a5), a7)
+    prod = (a4 * a5) * a7
     assert prod == pp(4, {(1, 1, 0, 1): 1})
 
 
 def test_rat_inv():
     a5, a6 = ParamRat.gen(2, 0), ParamRat.gen(2, 1)
     u = a5 * a6 - a6
-    inv = rat_arith("inv", u)
+    inv = u.inv()
     assert inv.num.is_constant and inv.num.constant_value() == 1
     assert inv.den == u.num
     assert (u * inv).is_one
@@ -163,21 +159,21 @@ def test_lex_compare_paper_ordering():
     order = MonomialOrder(vars)
     m_x3dd = {DiffVar("x3", 2): 1}
     m_x2dd = {DiffVar("x2", 2): 1}
-    assert lex_compare(m_x3dd, m_x2dd, order) == GT
-    assert lex_compare(m_x2dd, m_x3dd, order) == LT
-    assert lex_compare(m_x3dd, m_x3dd, order) == EQ
+    assert order.compare(m_x3dd, m_x2dd) == GT
+    assert order.compare(m_x2dd, m_x3dd) == LT
+    assert order.compare(m_x3dd, m_x3dd) == EQ
 
 
 def test_lex_ignores_total_degree():
     y1, y0 = DiffVar("y", 1), DiffVar("y", 0)
     order = MonomialOrder([y1, y0])
-    assert lex_compare({y0: 2}, {y1: 1}, order) == LT
+    assert order.compare({y0: 2}, {y1: 1}) == LT
 
 
 def test_lex_unknown_variable():
     order = MonomialOrder([DiffVar("y", 0)])
     with pytest.raises(UnknownVariable):
-        lex_compare({DiffVar("z", 0): 1}, {DiffVar("y", 0): 1}, order)
+        order.compare({DiffVar("z", 0): 1}, {DiffVar("y", 0): 1})
 
 
 def test_lex_antisymmetric_transitive(rng):
@@ -223,8 +219,6 @@ def test_leading_term_zero_raises():
     ring, _, _ = xy_ring()
     with pytest.raises(ZeroPolynomial):
         Poly.zero(ring, 1).leading_term()
-    with pytest.raises(RingMismatch):
-        leading_term(Poly.zero(ring, 1), MonomialOrder([DiffVar("z", 0)]))
 
 
 def test_divide_generator_by_own_set():

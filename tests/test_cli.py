@@ -215,3 +215,44 @@ def test_decay_pipeline(tmp_path):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+VIRAL_GEN = ["--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
+             "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"]
+VIRAL_SAMPLE = ["--v", "0.8512,5.76", "--samples", "4", "--free", "a4"]
+VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["variety", "--params", "a4=abc,a5=0.95,a6=1,a7=5.6",
+     "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"],
+    ["variety", *VIRAL_GEN, "--times", "1,x,3"],
+    ["variety", *VIRAL_GEN, "--times", "1,2,100"],
+    ["variety", *VIRAL_GEN, "--times", "1,1,2"],
+    ["variety", *VIRAL_GEN, "--t0", "-5"],
+    ["variety", "--params", "a4=0.16,a5=1,a6=1,a7=5.6",
+     "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"],
+    ["variety", "--params", "a4=0.16,a5=0.95,a6=0,a7=5.6",
+     "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"],
+    ["sample", *VIRAL_SAMPLE, "--ranges", "a4=0:1"],
+    ["sample", "--v", "0.8512,5.76", "--samples", "4", "--free", "a6",
+     *VIRAL_RANGES],
+    ["variety", "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"],
+    ["variety", "--params", "a4=0.16,a5=0.95,a6=1,a7=5.6"],
+    ["sample", "--v", "0.8512,5.76", "--samples", "4", "--free", "a4"],
+    ["sample", "--v", "0.8512", "--samples", "4", "--free", "a4", *VIRAL_RANGES],
+    ["sample", "--v", "0.8512,abc", "--samples", "4", "--free", "a4",
+     *VIRAL_RANGES],
+    ["sample", *VIRAL_SAMPLE, *VIRAL_RANGES, "--axes", "a4:a6"],
+    ["pseudo", *VIRAL_GEN, "--n-times", "0"],
+    ["variety", "--params", "a1=-0.4", "--x0", "x1=2.0", "--times", "1,2",
+     "--method", "exact-viral", "--model", DECAY],
+], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
+        "t0-before-horizon", "assumption-violated", "assumption-divides",
+        "missing-range", "free-not-constrained", "missing-params",
+        "missing-x0", "missing-ranges", "bad-v-count", "bad-v-value",
+        "bad-axes", "zero-n-times", "closed-form-wrong-model"])
+def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
+    argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
+    assert _run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -5,9 +5,10 @@ import pytest
 
 from paramvariety.algebra import DiffVar, MonomialOrder, ParamRat, Poly, poly_divide
 from paramvariety.errors import InvalidBlock, ResourceExhausted, ZeroPolynomial
+from paramvariety.ioeq import derive_io_basis
+from paramvariety.model import parse_model
 from paramvariety.groebner import (
     GBLimits,
-    IdealGens,
     buchberger,
     elimination_subset,
     reduce_basis,
@@ -72,6 +73,11 @@ def test_zero_generator_rejected():
         buchberger([Poly.zero(ring, 1)])
 
 
+def test_empty_generator_list_rejected():
+    with pytest.raises(ValueError):
+        buchberger([])
+
+
 def test_viral_basis_contains_io_element(viral_model, viral_rgb):
     from paramvariety.algebra import DiffVar
     yvars = {DiffVar("y", k) for k in range(3)}
@@ -116,14 +122,41 @@ def test_redundant_generator_removed():
     assert rgb.basis[0] == f
 
 
-def test_reduce_idempotent(viral_rgb):
-    again = reduce_basis(list(viral_rgb.basis), viral_rgb.order)
-    assert list(again.basis) == list(viral_rgb.basis)
+def _chain_text(n):
+    """Linear chain x1' = -k1 x1, xi' = k(i-1) x(i-1) - ki xi, y = xn."""
+    lines = ["states: " + " ".join(f"x{i}" for i in range(1, n + 1)),
+             "output: y",
+             "params: " + " ".join(f"k{i}" for i in range(1, n + 1)),
+             "assume_nonzero: " + ", ".join(f"k{i}" for i in range(1, n + 1)),
+             "horizon: 0 10",
+             "dx1/dt = -k1*x1"]
+    lines += [f"dx{i}/dt = k{i - 1}*x{i - 1} - k{i}*x{i}" for i in range(2, n + 1)]
+    lines.append(f"y = x{n}")
+    return "\n".join(lines) + "\n"
 
 
-def test_reduced_invariants(viral_rgb, lv_rgb):
-    for rgb in (viral_rgb, lv_rgb):
+@pytest.fixture(scope="module")
+def reduced_bases(viral_rgb, lv_rgb):
+    """Reduced bases of the viral and LV prolongations, of linear chains of
+    2 to 4 states, and of random ideals (whose Buchberger output is neither
+    minimal nor reduced)."""
+    bases = [viral_rgb, lv_rgb]
+    bases += [derive_io_basis(parse_model(_chain_text(n))).gb for n in (2, 3, 4)]
+    bases += [reduce_basis(buchberger(gens, ring), ring)
+              for ring, gens in _random_ideals(seed=5, count=15)]
+    return bases
+
+
+def test_reduce_idempotent(reduced_bases):
+    for rgb in reduced_bases:
+        again = reduce_basis(list(rgb.basis), rgb.order)
+        assert list(again.basis) == list(rgb.basis)
+
+
+def test_reduced_invariants(reduced_bases):
+    for rgb in reduced_bases:
         lms = [g.leading_term()[0] for g in rgb.basis]
+        assert lms == sorted(lms)
         for i, g in enumerate(rgb.basis):
             assert g.leading_term()[1].is_one
             for j, lm in enumerate(lms):
@@ -255,10 +288,3 @@ def test_coprime_criterion_preserves_basis():
         for a, b in zip(fast.basis, slow.basis):
             assert a == b
 
-
-def test_ideal_gens_wrapper(viral_model):
-    from paramvariety.model import prolong
-    psys = prolong(viral_model, 1)
-    ideal = IdealGens(gens=psys.gens, order=psys.ring)
-    basis = buchberger(ideal)
-    assert basis
