@@ -26,7 +26,9 @@ Canonical form of a ParamRat: coefficients are cleared to integers, the
 integer gcd across numerator and denominator is 1, numerator and denominator
 share no common monomial factor, an exact trial-division pass cancels one
 into the other when possible, and the denominator's leading coefficient
-(lexicographic in parameter-declaration order) is positive.
+(lexicographic in parameter-declaration order) is positive. A product with
+a parameter-free factor only rescales and divides out integer content, which
+yields the same terms in the same order as the full normalization.
 """
 
 from fractions import Fraction
@@ -508,9 +510,32 @@ class ParamRat:
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return ParamRat.zero(self.n)
+        if other.is_param_free:
+            return self._scaled(other)
+        if self.is_param_free:
+            return other._scaled(self)
         return ParamRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c):
+        """self * c for a nonzero parameter-free c, both canonical.
+
+        With c = p/q (q > 0), num*p / den*q needs only its common integer
+        content divided out: a constant factor changes neither the common
+        monomial factor nor exact divisibility, and keeps the sign of den's
+        leading coefficient, so _normalize would reach the same terms in
+        the same order."""
+        p, q = c.num.lead()[1], c.den.lead()[1]
+        if p == q:
+            return self
+        num = {k: v * p for k, v in self.num.terms.items()}
+        den = {k: v * q for k, v in self.den.terms.items()}
+        g = gcd(dict_int_content(num), dict_int_content(den))
+        if g > 1:
+            num, den = dict_div_int(num, g), dict_div_int(den, g)
+        return ParamRat(ParamPoly(self.n, num, _checked=True),
+                        ParamPoly(self.n, den, _checked=True), _canonical=True)
 
     def inv(self):
         if self.is_zero:

@@ -7,7 +7,7 @@ report, ``extend`` runs the extension check alone, and ``sample`` grids
 points on a known variety. Artifacts embed the tool version, the seed, and
 input hashes; identical configuration and seed produce byte-identical
 files. Resource caps for the basis computation come from the environment
-(PARAMVARIETY_GB_MAX_PAIRS, PARAMVARIETY_GB_MAX_BASIS).
+(PARAMVARIETY_GB_MAX_PAIRS, PARAMVARIETY_GB_MAX_BASIS; positive integers).
 
 Exit codes: 0 success, 2 usage/parse, 3 numeric failure, 4 algebra resource
 cap, 5 internal invariant violation.
@@ -232,6 +232,8 @@ def _branch_note(eq, names):
 
 
 def cmd_variety(args):
+    if args.samples < 0:
+        raise UsageError(f"--samples must not be negative, got {args.samples}")
     model = load_model(args.model)
     basis = derive_io_basis(model)
     meta_files = {"model": args.model}
@@ -367,6 +369,8 @@ def cmd_extend(args):
 
 
 def cmd_sample(args):
+    if args.samples < 1:
+        raise UsageError(f"sample needs --samples of at least 1, got {args.samples}")
     model = load_model(args.model)
     basis = derive_io_basis(model)
     if args.data:

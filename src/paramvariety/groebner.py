@@ -7,6 +7,7 @@ the same generators in any order produce the same reduced basis.
 
 import os
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .algebra import (
     MonomialOrder,
@@ -16,7 +17,7 @@ from .algebra import (
     expvec_sub,
     poly_divide,
 )
-from .errors import RingMismatch, ResourceExhausted, ZeroPolynomial
+from .errors import RingMismatch, ResourceExhausted, UsageError, ZeroPolynomial
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,25 @@ class GBLimits:
 
     @classmethod
     def from_env(cls):
+        """Caps from PARAMVARIETY_GB_MAX_PAIRS and PARAMVARIETY_GB_MAX_BASIS,
+        each a positive integer; an unset variable keeps the default."""
         return cls(
-            max_pairs=int(os.environ.get("PARAMVARIETY_GB_MAX_PAIRS", cls.max_pairs)),
-            max_basis=int(os.environ.get("PARAMVARIETY_GB_MAX_BASIS", cls.max_basis)),
+            max_pairs=_env_cap("PARAMVARIETY_GB_MAX_PAIRS", cls.max_pairs),
+            max_basis=_env_cap("PARAMVARIETY_GB_MAX_BASIS", cls.max_basis),
         )
+
+
+def _env_cap(name, default):
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"{name} must be a positive integer, got {text!r}")
 
 
 def s_polynomial(f, g):
@@ -67,9 +83,11 @@ def reduce_poly(p, basis):
 def buchberger(gens, order=None, limits=None):
     """Groebner basis of the ideal generated by a list of polynomials.
 
-    Normal (minimal-LCM) pair selection with Buchberger's coprimality and
-    chain criteria. Raises ResourceExhausted with progress information if a
-    configured cap is hit.
+    Pending pairs wait in a heap of (lcm, i, j), so the pair popped next has
+    the least lcm, ties broken by index (the normal selection strategy).
+    Buchberger's coprimality and chain criteria drop pairs after they are
+    popped; max_pairs counts popped pairs. Raises ResourceExhausted with
+    progress information if a configured cap is hit.
     """
     gens = list(gens)
     if not gens:
@@ -88,12 +106,12 @@ def buchberger(gens, order=None, limits=None):
             basis.append(g)
 
     lms = [g.leading_term()[0] for g in basis]
-    pairs = {}
+    pairs = []
     done = set()
 
     def add_pairs(j):
         for i in range(j):
-            pairs[(i, j)] = expvec_lcm(lms[i], lms[j])
+            heappush(pairs, (expvec_lcm(lms[i], lms[j]), i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -105,8 +123,7 @@ def buchberger(gens, order=None, limits=None):
             raise ResourceExhausted(
                 f"S-pair cap exceeded ({limits.max_pairs}); basis size "
                 f"{len(basis)}, {len(pairs)} pairs pending")
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij], ij))
-        lcm = pairs.pop((i, j))
+        lcm, i, j = heappop(pairs)
         done.add((i, j))
         # coprimality criterion: disjoint leading monomials reduce to zero
         if lcm == expvec_add(lms[i], lms[j]):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -103,6 +104,39 @@ def test_canonicalization_idempotent(rng):
         again = ParamRat(r.num, r.den)
         assert again.num.terms == r.num.terms
         assert again.den.terms == r.den.terms
+
+
+def _content(terms):
+    g = 0
+    for c in terms.values():
+        g = gcd(g, c)
+    return g
+
+
+def test_scalar_product_matches_full_normalization():
+    # a product with a parameter-free factor skips _normalize; it must give
+    # the terms, and their dict order, that the full normalization gives
+    rng = random.Random(11)
+    n = 3
+    checked = param_den = 0
+    for _ in range(120):
+        r = random_paramrat(rng, n)
+        param_den += not r.den.is_constant
+        if rng.random() < 0.5:
+            # integer content on both sides, for constants to cancel against
+            r = ParamRat(r.num * rng.choice([2, 6, 10]), r.den * rng.choice([3, 9, 35]))
+        cn, cd = _content(r.num.terms), _content(r.den.terms)
+        scalars = [1, -1, rng.randint(2, 40), -rng.randint(2, 40),
+                   Fraction(-rng.randint(1, 30), rng.randint(2, 30)),
+                   Fraction(cd, cn), Fraction(-cd * rng.randint(1, 5), cn),
+                   Fraction(rng.randint(1, 5) * cd, 7 * cn)]
+        for s in scalars:
+            c = ParamRat.from_const(n, s)
+            expected = repr(ParamRat(r.num * c.num, r.den * c.den))
+            for product in (r * c, c * r, r * s, s * r):
+                assert repr(product) == expected
+            checked += 1
+    assert checked == 960 and param_den > 60
 
 
 def test_trial_division_reduces():

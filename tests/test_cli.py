@@ -247,12 +247,29 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
     ["pseudo", *VIRAL_GEN, "--n-times", "0"],
     ["variety", "--params", "a1=-0.4", "--x0", "x1=2.0", "--times", "1,2",
      "--method", "exact-viral", "--model", DECAY],
+    ["sample", "--v", "0.8512,5.76", "--samples", "-3", "--free", "a4",
+     *VIRAL_RANGES],
+    ["sample", "--v", "0.8512,5.76", "--free", "a4", *VIRAL_RANGES],
+    ["variety", *VIRAL_GEN, "--times", "1.8594,6.1602", "--samples", "-3",
+     "--free", "a4", *VIRAL_RANGES],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
         "missing-x0", "missing-ranges", "bad-v-count", "bad-v-value",
-        "bad-axes", "zero-n-times", "closed-form-wrong-model"])
+        "bad-axes", "zero-n-times", "closed-form-wrong-model",
+        "negative-samples", "sample-without-samples", "variety-negative-samples"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("PARAMVARIETY_GB_MAX_PAIRS", "abc"),
+    ("PARAMVARIETY_GB_MAX_BASIS", "-5"),
+])
+def test_bad_groebner_cap_exits_usage(tmp_path, capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert _run("ioeq", "--model", VIRAL, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err

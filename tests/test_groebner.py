@@ -3,10 +3,24 @@ import random
 
 import pytest
 
-from paramvariety.algebra import DiffVar, MonomialOrder, ParamRat, Poly, poly_divide
-from paramvariety.errors import InvalidBlock, ResourceExhausted, ZeroPolynomial
+from paramvariety.algebra import (
+    DiffVar,
+    MonomialOrder,
+    ParamRat,
+    Poly,
+    expvec_add,
+    expvec_divides,
+    expvec_lcm,
+    poly_divide,
+)
+from paramvariety.errors import (
+    InvalidBlock,
+    ResourceExhausted,
+    UsageError,
+    ZeroPolynomial,
+)
 from paramvariety.ioeq import derive_io_basis
-from paramvariety.model import parse_model
+from paramvariety.model import parse_model, prolong
 from paramvariety.groebner import (
     GBLimits,
     buchberger,
@@ -16,6 +30,7 @@ from paramvariety.groebner import (
     s_polynomial,
 )
 
+from .conftest import MODELS
 from .helpers import random_poly
 
 
@@ -107,6 +122,137 @@ def test_resource_cap():
     gens = [g for g in gens if not g.is_zero]
     with pytest.raises(ResourceExhausted):
         buchberger(gens, limits=GBLimits(max_pairs=1, max_basis=400))
+
+
+@pytest.mark.parametrize("name", ["PARAMVARIETY_GB_MAX_PAIRS",
+                                  "PARAMVARIETY_GB_MAX_BASIS"])
+def test_limits_from_env(monkeypatch, name):
+    field = {"PARAMVARIETY_GB_MAX_PAIRS": "max_pairs",
+             "PARAMVARIETY_GB_MAX_BASIS": "max_basis"}[name]
+    monkeypatch.delenv(name, raising=False)
+    assert getattr(GBLimits.from_env(), field) == getattr(GBLimits(), field)
+    monkeypatch.setenv(name, "7")
+    assert getattr(GBLimits.from_env(), field) == 7
+    for text in ("abc", "", "2.5", "0", "-5"):
+        monkeypatch.setenv(name, text)
+        with pytest.raises(UsageError, match=name):
+            GBLimits.from_env()
+    ring, x, y, z = _xyz_ring()
+    with pytest.raises(UsageError, match=name):
+        buchberger([_p(ring, 1, {(1, 0, 0): 1})])
+
+
+# ---------------------------------------------------------------------------
+# the pair queue against a min-scan reference
+# ---------------------------------------------------------------------------
+
+def _min_scan_buchberger(gens, limits):
+    """Buchberger with the pending pairs in a dict, each step taking the
+    least (lcm, i, j) by a scan over all of them: the selection the heap
+    replaced, kept as the reference for its pop order. Returns the basis
+    and the number of pairs popped."""
+    basis = []
+    for g in gens:
+        g = g.monic()
+        if not any(g == h for h in basis):
+            basis.append(g)
+    lms = [g.leading_term()[0] for g in basis]
+    pairs = {}
+    done = set()
+
+    def add_pairs(j):
+        for i in range(j):
+            pairs[(i, j)] = expvec_lcm(lms[i], lms[j])
+
+    for j in range(len(basis)):
+        add_pairs(j)
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > limits.max_pairs:
+            raise ResourceExhausted(
+                f"S-pair cap exceeded ({limits.max_pairs}); basis size "
+                f"{len(basis)}, {len(pairs)} pairs pending")
+        (i, j) = min(pairs, key=lambda ij: (pairs[ij], ij))
+        lcm = pairs.pop((i, j))
+        done.add((i, j))
+        if lcm == expvec_add(lms[i], lms[j]):
+            continue
+        if any(k not in (i, j) and (min(i, k), max(i, k)) in done
+               and (min(j, k), max(j, k)) in done and expvec_divides(lms[k], lcm)
+               for k in range(len(basis))):
+            continue
+        r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
+        if r.is_zero:
+            continue
+        basis.append(r.monic())
+        lms.append(r.leading_term()[0])
+        if len(basis) > limits.max_basis:
+            raise ResourceExhausted(
+                f"basis size cap exceeded ({limits.max_basis}); "
+                f"{len(pairs)} pairs pending")
+        add_pairs(len(basis) - 1)
+    return basis, processed
+
+
+def _permuted(text, order):
+    return "".join("states: " + " ".join(order) + "\n"
+                   if line.startswith("states:") else line
+                   for line in text.splitlines(keepends=True))
+
+
+def _derive_inputs():
+    """The bundled models, every other state order of lotka_volterra and
+    virus_full, and linear chains of 2 to 5 states."""
+    texts = {}
+    for name in ("decay", "viral", "lotka_volterra", "virus_full"):
+        text = (MODELS / f"{name}.model").read_text()
+        texts[name] = text
+        if name in ("lotka_volterra", "virus_full"):
+            states = next(line for line in text.splitlines()
+                          if line.startswith("states:")).split()[1:]
+            for order in itertools.permutations(states):
+                if list(order) != states:
+                    texts[f"{name}-{'-'.join(order)}"] = _permuted(text, order)
+    for n in (2, 3, 4, 5):
+        texts[f"chain{n}"] = _chain_text(n)
+    return texts
+
+
+def _dump(basis):
+    return [(repr(g), repr(g.terms)) for g in basis]
+
+
+def test_pair_queue_matches_min_scan():
+    unlimited = GBLimits()
+    inputs = _derive_inputs()
+    checked = 0
+    for label, text in inputs.items():
+        model = parse_model(text)
+        for i in range(1, derive_io_basis(model).L + 1):
+            psys = prolong(model, i)
+            ref, _ = _min_scan_buchberger(psys.gens, unlimited)
+            gb = buchberger(psys.gens, psys.ring, limits=unlimited)
+            assert _dump(gb) == _dump(ref), (label, i)
+            assert (_dump(reduce_basis(gb, psys.ring))
+                    == _dump(reduce_basis(ref, psys.ring))), (label, i)
+            checked += 1
+    assert checked == 39
+    # the pair cap counts popped pairs: both raise at the same pop, with the
+    # same basis size and pending count in the message
+    for label, order in (("viral", 2), ("lotka_volterra", 2), ("chain3", 3),
+                         ("virus_full-x2-x3-x1", 2)):
+        psys = prolong(parse_model(inputs[label]), order)
+        _, popped = _min_scan_buchberger(psys.gens, GBLimits())
+        assert popped > 3
+        for cap in (1, popped // 2, popped - 1):
+            limits = GBLimits(max_pairs=cap)
+            with pytest.raises(ResourceExhausted) as ref:
+                _min_scan_buchberger(psys.gens, limits)
+            with pytest.raises(ResourceExhausted) as got:
+                buchberger(psys.gens, psys.ring, limits=limits)
+            assert str(got.value) == str(ref.value)
+        buchberger(psys.gens, psys.ring, limits=GBLimits(max_pairs=popped))
 
 
 # ---------------------------------------------------------------------------
