@@ -19,8 +19,11 @@ engine and the extension check import them from here.
 
 Floating point is forbidden in the arithmetic; every operation is exact,
 and only the evaluators (``evaluate`` and ``compile_poly``, the one numeric
-evaluator of a Poly) return floats. All values are immutable after
-construction, so they are safe to share between threads.
+evaluator of a Poly) return floats. ``compile_poly`` and ``terms_source``
+(the expression source that the generated RK4 kernel of ``datalab`` is
+built from) both read one compiled term list, ``compiled_terms``, so the
+float evaluation order is defined in one place. All values are immutable
+after construction, so they are safe to share between threads.
 
 Canonical form of a ParamRat: coefficients are cleared to integers, the
 integer gcd across numerator and denominator is 1, numerator and denominator
@@ -974,19 +977,28 @@ class Poly:
         return f"Poly[{self.render(names)}]"
 
 
+def compiled_terms(p, index, values, exact=False):
+    """The compiled term list of a Poly at fixed parameter values: one
+    ``(coef, ((pos, e), ...))`` per term, in dict order, where each term
+    keeps only its nonzero exponents, in ring order, and pos is the position
+    that index gives the variable in the caller's value vector. With
+    exact=True the coefficients are evaluated as Fractions."""
+    ring_vars = p.ring.vars
+    return [(c.evaluate_exact(values) if exact else c.evaluate(values),
+             tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
+            for exps, c in p.terms.items()]
+
+
 def compile_poly(p, index, values, exact=False):
     """Compile a Poly at fixed parameter values into a function of the
     caller's value vector; index maps each variable of p's ring that p uses
     to its position in that vector.
 
-    Each term keeps only its nonzero exponents, in ring order, so an
-    evaluation does the same multiplications in the same order as a walk
-    over the full exponent vector. With exact=True the coefficients are
-    evaluated as Fractions, so Fraction inputs give the exact value."""
-    ring_vars = p.ring.vars
-    terms = [(c.evaluate_exact(values) if exact else c.evaluate(values),
-              tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
-             for exps, c in p.terms.items()]
+    An evaluation walks the compiled term list (``compiled_terms``), so it
+    does the same multiplications in the same order as a walk over the full
+    exponent vector. With exact=True the coefficients are evaluated as
+    Fractions, so Fraction inputs give the exact value."""
+    terms = compiled_terms(p, index, values, exact)
     zero = Fraction(0) if exact else 0.0
 
     def ev(vals):
@@ -1001,6 +1013,22 @@ def compile_poly(p, index, values, exact=False):
         return total
 
     return ev
+
+
+def terms_source(terms, var_names, coef_names):
+    """Python expression source of a compiled term list (``compiled_terms``)
+    that evaluates in the float operations and order of ``compile_poly``:
+    ``0.0 + t1 + t2 + ...`` with each term ``c * v * w ** e``, which Python
+    groups left to right, so the sum is seeded with 0.0 (keeping its sign
+    of zero), terms come in list order and factors in ring order.
+    var_names[pos] names the value at pos and coef_names[k] the coefficient
+    of the k-th term."""
+    parts = ["0.0"]
+    for name, (_, factors) in zip(coef_names, terms):
+        parts.append(" * ".join(
+            [name] + [var_names[pos] if e == 1 else f"{var_names[pos]} ** {e}"
+                      for pos, e in factors]))
+    return " + ".join(parts)
 
 
 def poly_divide(f, divisors):

@@ -3,10 +3,17 @@
 Provides fixed-step RK4 integration with step-halving refinement, exact
 output-derivative jets by symbolic push-forward (total derivatives of the
 observation polynomial with the state velocity substituted, evaluated in
-Fraction arithmetic), the
-closed-form solution of the two-compartment viral decay model, a central
-finite-difference fallback for externally measured series, and the CSV
-dataset format shared with the variety estimator.
+Fraction arithmetic), the closed-form solution of the two-compartment viral
+decay model, a central finite-difference fallback for externally measured
+series, and the CSV dataset format shared with the variety estimator.
+
+The RK4 runs in one straight-line Python function generated per
+integration (``_rk4_kernel``). Its right-hand sides come from the compiled
+term lists of ``algebra.compiled_terms`` through ``algebra.terms_source``,
+so they do the float operations of ``algebra.compile_poly`` in the same
+order, and its stages keep the operation order of the numpy formulation:
+the states are bit for bit the same as evaluating the model with
+``compile_poly`` under numpy-style stages.
 """
 
 import csv
@@ -16,7 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DiffVar, MonomialOrder, ParamRat, Poly, compile_poly
+from .algebra import (
+    DiffVar,
+    MonomialOrder,
+    ParamRat,
+    Poly,
+    compile_poly,
+    compiled_terms,
+    terms_source,
+)
 from .errors import (
     BlowUp,
     DatasetFormatError,
@@ -113,23 +128,6 @@ def _state_index(model):
     return {DiffVar(s, 0): i for i, s in enumerate(model.states)}
 
 
-def _rhs_function(model, params):
-    """The vector field as a function of a list of Python floats in state
-    order, returning a list."""
-    if model.inputs:
-        raise NotImplementedError(
-            "integration of models with external inputs needs input "
-            "trajectories; none of the bundled case studies use them")
-    values = _param_vector(model, params)
-    index = _state_index(model)
-    fs = [compile_poly(fi, index, values) for fi in model.f]
-
-    def rhs(x):
-        return [f(x) for f in fs]
-
-    return rhs
-
-
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -138,30 +136,80 @@ _BASE_DENSITY = 64     # RK4 substeps per unit time before refinement
 _REL_TOL = 1e-8
 _MAX_HALVINGS = 3
 
-
-def _rk4_segment(rhs, x, t0, t1, nsteps):
-    """nsteps classical RK4 substeps from t0 to t1 on Python floats; returns
-    the state as a list."""
+_KERNEL_SOURCE = """\
+def kernel(x, t0, t1, nsteps, isfinite=isfinite, {defaults}):
+    {xs}, = x
     h = (t1 - t0) / nsteps
     half = 0.5 * h
     sixth = h / 6.0
     for k in range(nsteps):
         try:
-            k1 = rhs(x)
-            k2 = rhs([a + half * b for a, b in zip(x, k1)])
-            k3 = rhs([a + half * b for a, b in zip(x, k2)])
-            k4 = rhs([a + h * b for a, b in zip(x, k3)])
+            {stages}
         except OverflowError:
             t_next = t0 + (k + 1) * h
-            raise BlowUp(f"state overflowed near t = {t_next:.6g}",
+            raise BlowUp(f"state overflowed near t = {{t_next:.6g}}",
                          time=t_next) from None
-        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, x)):
+        {update}
+        if not ({finite}):
             t_next = t0 + (k + 1) * h
-            raise BlowUp(f"state became non-finite near t = {t_next:.6g}",
+            raise BlowUp(f"state became non-finite near t = {{t_next:.6g}}",
                          time=t_next)
-    return x
+    return [{xs}]
+"""
+
+
+def _rk4_kernel(model, params):
+    """The RK4 segment function of the model at these parameter values:
+    kernel(x, t0, t1, nsteps) runs nsteps classical RK4 substeps from t0 to
+    t1 on Python floats and returns the state as a list.
+
+    It is one straight-line function generated per call. Its locals are
+    positional (x0, ... the state, y0, ... the stage point, k1_0, ... the
+    stages), so no model name enters the source; each right-hand side
+    coefficient is one name of the exec namespace, bound as a default
+    argument and shared by the four stages. Each right-hand side is
+    algebra.terms_source of its compiled term list, so it runs the float
+    operations of compile_poly in the same order; the stages are
+    x + half k and x + sixth (((k1 + 2 k2) + 2 k3) + k4)."""
+    if model.inputs:
+        raise NotImplementedError(
+            "integration of models with external inputs needs input "
+            "trajectories; none of the bundled case studies use them")
+    values = _param_vector(model, params)
+    index = _state_index(model)
+    namespace = {"BlowUp": BlowUp, "isfinite": math.isfinite}
+    coefs = []
+    rhs = []
+    for fi in model.f:
+        terms = compiled_terms(fi, index, values)
+        names = [f"c{len(coefs) + k}" for k in range(len(terms))]
+        coefs += names
+        namespace.update(zip(names, (c for c, _ in terms)))
+        rhs.append((terms, names))
+    n = model.nstates
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+
+    def stage(s, point):
+        return [f"k{s}_{i} = {terms_source(terms, point, names)}"
+                for i, (terms, names) in enumerate(rhs)]
+
+    def shift(step, s):
+        return [f"y{i} = x{i} + {step} * k{s}_{i}" for i in range(n)]
+
+    stages = (stage(1, xs) + shift("half", 1) + stage(2, ys)
+              + shift("half", 2) + stage(3, ys) + shift("h", 3) + stage(4, ys))
+    update = [f"x{i} = x{i} + sixth * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i})"
+              f" + k4_{i})" for i in range(n)]
+    source = _KERNEL_SOURCE.format(
+        defaults=", ".join(f"{c}={c}" for c in coefs),
+        xs=", ".join(xs), stages="\n            ".join(stages),
+        update="\n        ".join(update),
+        finite=" and ".join(f"isfinite({x})" for x in xs))
+    exec(source, namespace)
+    # popped, so that the function and its globals form no reference cycle
+    # and are freed with the last reference rather than by the cyclic GC
+    return namespace.pop("kernel")
 
 
 def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
@@ -169,10 +217,14 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
     """Classical RK4 along the given time grid.
 
     The substep is refined by halving until the outputs change by less than
-    rel_tol relative (at most max_halvings extra refinements). The stages
-    run on Python floats, in the operation order of the numpy formulation
-    x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4) that they replace,
-    so the states are bit for bit those of numpy float64 arithmetic.
+    rel_tol relative (at most max_halvings extra refinements). Every segment
+    of every refinement runs in one kernel generated for this call
+    (_rk4_kernel): straight-line code on Python float locals whose
+    right-hand sides evaluate in compile_poly's operation order (sum seeded
+    with 0.0, terms in dict order, factors in ring order) and whose stages
+    are x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the order of
+    the numpy formulation they replace, so the states are bit for bit those
+    of numpy float64 arithmetic, signs of zero included.
     A state that overflows or becomes non-finite raises BlowUp.
     """
     check_assumptions(model, params)
@@ -184,7 +236,7 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
     t0, t1 = model.horizon
     if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
         raise UsageError(f"grid leaves the model horizon [{t0}, {t1}]")
-    rhs = _rhs_function(model, params)
+    kernel = _rk4_kernel(model, params)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.nstates,):
         raise ValueError(f"x0 must have {model.nstates} entries")
@@ -195,7 +247,7 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
         x = states[0]
         for a, b in zip(times, times[1:]):
             nsteps = max(4, math.ceil((b - a) * _BASE_DENSITY)) * mult
-            x = _rk4_segment(rhs, x, a, b, nsteps)
+            x = kernel(x, a, b, nsteps)
             states.append(x)
         return np.array(states)
 

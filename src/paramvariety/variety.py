@@ -10,6 +10,7 @@ constraint polynomials are rationalized exactly (0.8512 -> 8512/10000).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -239,8 +240,12 @@ def sample_variety(constraints, free_params, ranges, n,
     constraint parameters by damped (Gauss-)Newton from the midpoint of each
     solved parameter's range. Points that leave their declared range,
     violate a nonzero assumption, or fail to converge are skipped, with the
-    count reported.
+    count reported. n, the number of grid points asked for, must be an
+    integer of at least 1; anything else raises UsageError.
     """
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise UsageError(f"sample count must be an integer of at least 1, "
+                         f"got {n!r}")
     cparams = constraints.constraint_params()
     free_params = tuple(free_params)
     for p in free_params:

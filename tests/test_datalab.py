@@ -1,4 +1,5 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,7 @@ from paramvariety.datalab import (
     read_dataset,
     state_jet,
     write_dataset,
-    _rk4_segment,
-    _rhs_function,
+    _rk4_kernel,
 )
 from paramvariety.errors import (
     BlowUp,
@@ -104,14 +104,14 @@ def test_rk4_convergence_order(viral_model):
     # fixed-step errors against the closed form shrink at fourth order
     s = SUBJECTS["2-D"]
     params = dict(a4=s["a4"], a5=s["a5"], a6=1.0, a7=s["a7"])
-    rhs = _rhs_function(viral_model, params)
-    x0 = np.array([params["a7"] * s["x3"], s["x3"]])
+    kernel = _rk4_kernel(viral_model, params)
+    x0 = [params["a7"] * s["x3"], s["x3"]]
     t1 = s["t0"] + 1.0
     y_ref, _, _ = exact_viral_solution(s["a4"], s["a5"], s["a7"], s["t0"],
                                        s["x3"], t1)
     errors = []
     for nsteps in (8, 16, 32):
-        x = _rk4_segment(rhs, x0, s["t0"], t1, nsteps)
+        x = kernel(x0, s["t0"], t1, nsteps)
         errors.append(abs(x[1] - y_ref))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     for order in orders:
@@ -136,6 +136,14 @@ def test_lv_trajectory_settles(lv_model):
         1.0, abs(traj.outputs[-1]))
 
 
+def _reference_blow_up(*args):
+    """(message, time) of the BlowUp that the Python-float reference loop
+    raises."""
+    with pytest.raises(BlowUp) as err:
+        _float_rk4_reference(*args)
+    return str(err.value), err.value.time
+
+
 def test_blowup_reported():
     # x1 = 5/(1 - 5t) blows up at t = 0.2; x1**2 raises OverflowError
     src = """
@@ -146,10 +154,11 @@ horizon: 0 5
 dx1/dt = a1*x1^2
 y = x1
 """
-    model = parse_model(src)
+    args = (parse_model(src), {"a1": 1.0}, [5.0], [0.0, 1.0])
     with pytest.raises(BlowUp, match="state overflowed") as err:
-        integrate_model(model, {"a1": 1.0}, [5.0], [0.0, 1.0])
+        integrate_model(*args)
     assert 0.0 < err.value.time <= 1.0
+    assert (str(err.value), err.value.time) == _reference_blow_up(*args)
 
 
 def test_blowup_non_finite():
@@ -164,10 +173,11 @@ dx1/dt = x1*x2
 dx2/dt = x1*x2
 y = x1
 """
-    model = parse_model(src)
+    args = (parse_model(src), {"a1": 1.0}, [1.0, 2.0], [0.0, 1.0])
     with pytest.raises(BlowUp, match="state became non-finite") as err:
-        integrate_model(model, {"a1": 1.0}, [1.0, 2.0], [0.0, 1.0])
+        integrate_model(*args)
     assert 0.0 < err.value.time <= 1.0
+    assert (str(err.value), err.value.time) == _reference_blow_up(*args)
 
 
 # nominal parameters and initial states of the bundled models
@@ -183,11 +193,57 @@ NOMINAL = {
                               p["a7"] / p["a6"] * 2.0e6, 2.0e6]),
 }
 
+# parsed models, their parameters and initial states: exponents 2 and 3, a
+# constant and a parameter-free term, states named like the kernel's own
+# locals and namespace entries, and a sum whose sign of zero depends on the
+# 0.0 the evaluation starts from (a1*x1 at x1 = -0.0 is -0.0, and
+# 0.0 + -0.0 is 0.0)
+PARSED = {
+    "powers": ("""
+states: h half sixth
+output: y
+params: a1 a2 a3
+horizon: 0 5
+dh/dt = a1*half - h^2 + 3/2
+dhalf/dt = a2*h*sixth^3 - half
+dsixth/dt = a3 - sixth*h
+y = h + half^2
+""", {"a1": 0.7, "a2": 1.3, "a3": 0.4}, [0.3, -0.8, 1.1]),
+    "names": ("""
+states: k isfinite BlowUp
+output: y
+params: a1 a2
+horizon: 0 5
+dk/dt = -a1*k*isfinite^2 + 1
+disfinite/dt = a2*k - isfinite^3
+dBlowUp/dt = k*isfinite - BlowUp
+y = BlowUp
+""", {"a1": 0.9, "a2": 1.7}, [0.2, -0.6, 1.4]),
+    "signed_zero": ("""
+states: x1
+output: y
+params: a1
+horizon: 0 5
+dx1/dt = a1*x1
+y = x1
+""", {"a1": 0.5}, [-0.0]),
+}
 
-def _numpy_rk4_reference(model, params, x0, grid):
-    """The numpy RK4 that integrate_model's float loop replaced: a ring-
-    aligned right-hand side over every exponent, numpy stage expressions
-    and the same halving loop. Returns (states, outputs, halvings)."""
+
+def _rk4_case(name):
+    """(model, params, x0) of a bundled or parsed test model."""
+    if name in PARSED:
+        src, params, x0 = PARSED[name]
+        return parse_model(src), params, x0
+    params, x0 = NOMINAL[name]
+    return (load_model(Path(__file__).resolve().parent.parent / "models"
+                       / f"{name}.model"), params, x0(params))
+
+
+def _reference_polys(model, params):
+    """Evaluators of the right-hand sides and of the output that walk every
+    exponent of every term over the model ring, in ring order, taking the
+    state as a sequence in state order."""
     values = [float(params[p]) for p in model.params]
     ring = model.ring0()
     state_idx = [ring.index[DiffVar(s, 0)] for s in model.states]
@@ -210,8 +266,38 @@ def _numpy_rk4_reference(model, params, x0, grid):
 
         return ev
 
-    fs = [compiled(fi) for fi in model.f]
-    g = compiled(model.g)
+    return [compiled(fi) for fi in model.f], compiled(model.g)
+
+
+def _refined(segment, x0, grid):
+    """integrate_model's halving loop over a reference segment function.
+    Returns (states, halvings)."""
+    times = np.asarray(grid, dtype=float).tolist()
+
+    def run(mult):
+        states = [x0]
+        for a, b in zip(times, times[1:]):
+            nsteps = max(4, math.ceil((b - a) * 64)) * mult
+            states.append(segment(states[-1], a, b, nsteps))
+        return np.array(states)
+
+    states, mult, halvings = run(1), 1, 0
+    for _ in range(3):
+        finer = run(mult * 2)
+        halvings += 1
+        scale = np.maximum(1e-300, np.abs(finer))
+        if np.max(np.abs(finer - states) / scale) < 1e-8:
+            states = finer
+            break
+        states, mult = finer, mult * 2
+    return states, halvings
+
+
+def _numpy_rk4_reference(model, params, x0, grid):
+    """The numpy RK4 that integrate_model's float loop replaced: a ring-
+    aligned right-hand side over every exponent, numpy stage expressions
+    and the same halving loop. Returns (states, outputs, halvings)."""
+    fs, g = _reference_polys(model, params)
 
     def rhs(x):
         return np.array([f(x) for f in fs])
@@ -226,25 +312,50 @@ def _numpy_rk4_reference(model, params, x0, grid):
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return x
 
-    grid = np.asarray(grid, dtype=float)
-
-    def run(mult):
-        states = [np.asarray(x0, dtype=float)]
-        for a, b in zip(grid, grid[1:]):
-            nsteps = max(4, math.ceil((b - a) * 64)) * mult
-            states.append(segment(states[-1], a, b, nsteps))
-        return np.array(states)
-
-    states, mult, halvings = run(1), 1, 0
-    for _ in range(3):
-        finer = run(mult * 2)
-        halvings += 1
-        scale = np.maximum(1e-300, np.abs(finer))
-        if np.max(np.abs(finer - states) / scale) < 1e-8:
-            states = finer
-            break
-        states, mult = finer, mult * 2
+    states, halvings = _refined(segment, np.asarray(x0, dtype=float), grid)
     return states, np.array([g(x) for x in states]), halvings
+
+
+def _float_rk4_reference(model, params, x0, grid):
+    """The Python-float RK4 loop that the generated kernel replaced: list
+    stages in the numpy operation order, BlowUp at the substep's end time
+    for an OverflowError in the stages or a non-finite state after the
+    substep, and the same halving loop. Returns (states, outputs,
+    halvings)."""
+    fs, g = _reference_polys(model, params)
+
+    def rhs(x):
+        return [f(x) for f in fs]
+
+    def segment(x, t0, t1, nsteps):
+        h = (t1 - t0) / nsteps
+        half = 0.5 * h
+        sixth = h / 6.0
+        for k in range(nsteps):
+            try:
+                k1 = rhs(x)
+                k2 = rhs([a + half * b for a, b in zip(x, k1)])
+                k3 = rhs([a + half * b for a, b in zip(x, k2)])
+                k4 = rhs([a + h * b for a, b in zip(x, k3)])
+            except OverflowError:
+                t_next = t0 + (k + 1) * h
+                raise BlowUp(f"state overflowed near t = {t_next:.6g}",
+                             time=t_next) from None
+            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, x)):
+                t_next = t0 + (k + 1) * h
+                raise BlowUp(f"state became non-finite near t = {t_next:.6g}",
+                             time=t_next)
+        return x
+
+    states, halvings = _refined(segment, [float(v) for v in x0], grid)
+    return states, np.array([g(x) for x in states.tolist()]), halvings
+
+
+def _bits(array):
+    """The float64 bit patterns of an array, so that -0.0 differs from 0.0."""
+    return [struct.pack("d", v) for v in np.asarray(array, dtype=float).ravel()]
 
 
 @pytest.mark.parametrize("name, grid, halvings", [
@@ -255,17 +366,19 @@ def _numpy_rk4_reference(model, params, x0, grid):
     ("virus_full", [0.0, 2.0], 1),
     ("virus_full", [0.0, 1.0], 2),
     ("virus_full", [0.0, 0.3, 1.0], 3),
+    ("powers", [0.0, 0.5, 1.0], 1),
+    ("names", [0.0, 0.5, 1.0], 1),
+    ("signed_zero", [0.0, 1.0], 1),
 ])
 def test_rk4_bit_identical_to_numpy_reference(name, grid, halvings):
-    model = load_model(Path(__file__).resolve().parent.parent / "models"
-                       / f"{name}.model")
-    params, x0 = NOMINAL[name]
-    states, outputs, done = _numpy_rk4_reference(model, params, x0(params),
-                                                 grid)
+    model, params, x0 = _rk4_case(name)
+    states, outputs, done = _numpy_rk4_reference(model, params, x0, grid)
     assert done == halvings
-    traj = integrate_model(model, params, x0(params), grid)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.outputs, outputs)
+    traj = integrate_model(model, params, x0, grid)
+    assert _bits(traj.states) == _bits(states)
+    assert _bits(traj.outputs) == _bits(outputs)
+    assert (_bits(traj.states), _bits(traj.outputs)) == tuple(
+        map(_bits, _float_rk4_reference(model, params, x0, grid)[:2]))
 
 
 def test_assumption_violation_rejected(viral_model):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from paramvariety.datalab import DataSet, exact_viral_solution, make_dataset
-from paramvariety.errors import IllConditioned, InsufficientData, JetOrderMismatch
+from paramvariety.errors import (
+    IllConditioned,
+    InsufficientData,
+    JetOrderMismatch,
+    UsageError,
+)
 from paramvariety.variety import (
     VarietyConstraints,
     build_linear_system,
@@ -251,6 +256,18 @@ def test_sample_free_param_validation(viral_io):
         sample_variety(cons, ["a6"], {"a6": (0, 1)}, 4)
     with pytest.raises(ValueError):
         sample_variety(cons, ["a4"], {"a4": (0, 1)}, 4)  # missing ranges
+
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 4.0, "4"])
+def test_sample_count_validation(viral_io, n):
+    # with one free parameter n = -3 used to give one point, with two it
+    # raised TypeError from round(complex)
+    cons = variety_constraints(viral_io, [0.8512, 5.76])
+    ranges = {"a4": (0.0, 5.76), "a5": (0.0, 1.0), "a7": (0.0, 8.0)}
+    for free in (["a4"], ["a4", "a5"]):
+        with pytest.raises(UsageError, match="sample count"):
+            sample_variety(cons, free, ranges, n)
 
 
 # ---------------------------------------------------------------------------
