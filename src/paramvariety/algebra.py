@@ -17,9 +17,14 @@ kernels need only ``+``, ``-``, ``*`` and truth testing of the coefficients,
 so ParamPoly (int/Fraction) and Poly (ParamRat) share them; the Groebner
 engine and the extension check import them from here.
 
-Floating point is forbidden in the arithmetic; every operation is exact,
-and only the evaluators (``evaluate`` and ``compile_poly``, the one numeric
-evaluator of a Poly) return floats. ``compile_poly`` and ``terms_source``
+Floating point is forbidden in the arithmetic; every operation is exact.
+This module is also the one place that differentiates and evaluates term
+dicts. ``Poly.derivative`` is the chain rule, a derivative along a vector
+field: the prolongation of ``model`` and the output push-forward of
+``datalab`` are both such derivatives. ``dict_partial`` is the partial
+derivative of a term dict. ``ParamPoly.evaluate`` and ``ParamRat.evaluate``
+evaluate exactly at int/Fraction values and in floats at float values;
+``compile_poly``, the one numeric evaluator of a Poly, and ``terms_source``
 (the expression source that the generated RK4 kernel of ``datalab`` is
 built from) both read one compiled term list, ``compiled_terms``, so the
 float evaluation order is defined in one place. All values are immutable
@@ -176,6 +181,12 @@ def dict_axpy(P, c, m, B):
     return P
 
 
+def dict_partial(A, i):
+    """Partial derivative in the i-th variable. Lowering one positive
+    exponent maps distinct monomials to distinct ones, so no terms collide."""
+    return {k[:i] + (k[i] - 1,) + k[i + 1:]: v * k[i] for k, v in A.items() if k[i]}
+
+
 def dict_int_content(A):
     """gcd of the (integer) coefficients; 0 for the empty dict."""
     g = 0
@@ -328,24 +339,16 @@ class ParamPoly:
     # -- evaluation / rendering
 
     def evaluate(self, values):
-        """Numeric value at a parameter vector (sequence aligned with the
-        declaration order)."""
-        total = 0.0
+        """Value at a parameter vector (aligned with the declaration order)
+        in the arithmetic of the values: exact at ints and Fractions; a
+        float value turns the coefficient it meets into a float, so float
+        values give the terms and the sum of a float evaluation."""
+        total = 0
         for exps, c in self.terms.items():
-            m = float(c)
+            m = c
             for i, e in enumerate(exps):
                 if e:
                     m *= values[i] ** e
-            total += m
-        return total
-
-    def evaluate_exact(self, values):
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            m = Fraction(c)
-            for i, e in enumerate(exps):
-                if e:
-                    m *= Fraction(values[i]) ** e
             total += m
         return total
 
@@ -469,13 +472,6 @@ class ParamRat:
     def is_param_free(self):
         return self.num.is_constant and self.den.is_constant
 
-    def as_fraction(self):
-        if not self.is_param_free:
-            raise ValueError("coefficient depends on parameters")
-        if self.is_zero:
-            return Fraction(0)
-        return self.num.constant_value() / self.den.constant_value()
-
     # -- arithmetic
 
     def _coerce(self, other):
@@ -570,16 +566,15 @@ class ParamRat:
     # -- evaluation / rendering
 
     def evaluate(self, values):
-        d = self.den.evaluate(values)
-        if d == 0.0:
+        """Value at a parameter vector, in the arithmetic of ParamPoly.evaluate:
+        a Fraction when numerator and denominator evaluate exactly (a
+        parameter-free coefficient always does), else a float."""
+        num, den = self.num.evaluate(values), self.den.evaluate(values)
+        if not den:
             raise ZeroDivisionError("denominator vanishes at this parameter point")
-        return self.num.evaluate(values) / d
-
-    def evaluate_exact(self, values):
-        d = self.den.evaluate_exact(values)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at this parameter point")
-        return self.num.evaluate_exact(values) / d
+        if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+            return Fraction(num, den)
+        return num / den
 
     def render(self, names):
         num = _render_terms(self.num.terms, names)
@@ -907,27 +902,19 @@ class Poly:
 
     # -- calculus / ring moves
 
-    def diff_wrt(self, var):
-        """Formal partial derivative with respect to one ring variable."""
-        i = self.ring.index.get(var)
-        if i is None:
-            raise UnknownVariable(f"variable {var} not in the monomial order")
+    def derivative(self, velocity):
+        """Derivative along a vector field (the chain rule): the sum over the
+        ring variables v of dp/dv * velocity[v], where velocity maps a
+        variable to a Poly over this ring and a variable it omits is
+        constant. Terms are walked in dict order and, within a term, the
+        variables in ring order, which fixes the term order of the result."""
+        ring_vars = self.ring.vars
         out = {}
         for exps, c in self.terms.items():
-            e = exps[i]
-            if not e:
-                continue
-            lowered = list(exps)
-            lowered[i] = e - 1
-            m = tuple(lowered)
-            add = c * e
-            prev = out.get(m)
-            s = add if prev is None else prev + add
-            if s.is_zero:
-                if prev is not None:
-                    del out[m]
-            else:
-                out[m] = s
+            for i, e in enumerate(exps):
+                if e and ring_vars[i] in velocity:
+                    dict_axpy(out, c * e, exps[:i] + (e - 1,) + exps[i + 1:],
+                              velocity[ring_vars[i]].terms)
         return Poly(self.ring, out, n=self.n, _checked=True)
 
     def rering(self, new_ring):
@@ -981,10 +968,12 @@ def compiled_terms(p, index, values, exact=False):
     """The compiled term list of a Poly at fixed parameter values: one
     ``(coef, ((pos, e), ...))`` per term, in dict order, where each term
     keeps only its nonzero exponents, in ring order, and pos is the position
-    that index gives the variable in the caller's value vector. With
-    exact=True the coefficients are evaluated as Fractions."""
+    that index gives the variable in the caller's value vector. The
+    coefficients are Fractions with exact=True (values must then be ints or
+    Fractions) and floats otherwise."""
     ring_vars = p.ring.vars
-    return [(c.evaluate_exact(values) if exact else c.evaluate(values),
+    conv = Fraction if exact else float
+    return [(conv(c.evaluate(values)),
              tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
             for exps, c in p.terms.items()]
 

@@ -72,9 +72,9 @@ def _parse_assignments(text, what):
     return out
 
 
-def _eval_param_expr(text, model, params):
-    """Evaluate an expression in the parameters at the given numeric point
-    (used for initial-condition entries like x2=(a7/a6)*4.1e6)."""
+def _eval_param_expr(state, text, model, params):
+    """Evaluate the initial-condition expression of a state, which may use
+    the parameters (like x2=(a7/a6)*4.1e6), at the given numeric point."""
     n = model.nparams
     ring = model.ring0()
     symbols = {p: (lambda i=i: Poly.const(ring, ParamRat.gen(n, i)))
@@ -85,7 +85,11 @@ def _eval_param_expr(text, model, params):
         raise UsageError(f"expression {text!r} must involve parameters only")
     if rat is None:
         return 0.0
-    return rat.evaluate([params[p] for p in model.params])
+    try:
+        return float(rat.evaluate([params[p] for p in model.params]))
+    except ZeroDivisionError:
+        raise UsageError(f"--x0 {state}={text}: a denominator vanishes at the "
+                         "given parameters") from None
 
 
 def _number(text, what):
@@ -124,7 +128,7 @@ def _collect_x0(args, model, params):
     for s in model.states:
         if s not in raw:
             raise UsageError(f"missing initial value for state {s!r}")
-        x0.append(_eval_param_expr(raw[s], model, params))
+        x0.append(_eval_param_expr(s, raw[s], model, params))
     return x0
 
 

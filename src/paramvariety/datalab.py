@@ -1,9 +1,10 @@
 """Pseudo-data generation and ingestion.
 
 Provides fixed-step RK4 integration with step-halving refinement, exact
-output-derivative jets by symbolic push-forward (total derivatives of the
-observation polynomial with the state velocity substituted, evaluated in
-Fraction arithmetic), the closed-form solution of the two-compartment viral
+output-derivative jets by symbolic push-forward (derivatives of the
+observation polynomial along the model's vector field, taken by the chain
+rule of ``algebra.Poly.derivative`` and evaluated in Fraction
+arithmetic), the closed-form solution of the two-compartment viral
 decay model, a central finite-difference fallback for externally measured
 series, and the CSV dataset format shared with the variety estimator.
 
@@ -271,44 +272,30 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
 # symbolic push-forward jets
 # ---------------------------------------------------------------------------
 
-def _lie_ring(model, order):
+def _lie_velocity(model, order):
+    """The ring of the push-forward (the current state, then each input's
+    jet to u^(order)) and the vector field of the total time derivative over
+    it: x -> the model right-hand side and u^(k) -> u^(k+1) for k < order."""
     vars = [DiffVar(s, 0) for s in reversed(model.states)]
     for k in range(order, -1, -1):
         for u in reversed(model.inputs):
             vars.append(DiffVar(u, k))
-    return MonomialOrder(vars)
-
-
-def _lie_derivative(model, order):
-    """The ring of _lie_ring and the total time derivative over it: x' is
-    substituted by the model right-hand side and u^(k)' by u^(k+1)."""
-    ring = _lie_ring(model, order)
-    fs = [fi.rering(ring) for fi in model.f]
-    state_vars = [DiffVar(s, 0) for s in model.states]
-
-    def lie(p):
-        out = Poly.zero(ring, p.n)
-        for sv, fi in zip(state_vars, fs):
-            out = out + p.diff_wrt(sv) * fi
-        for u in model.inputs:
-            for k in range(order):
-                uv = DiffVar(u, k)
-                d = p.diff_wrt(uv)
-                if not d.is_zero:
-                    out = out + d * Poly.var(ring, DiffVar(u, k + 1), p.n)
-        return out
-
-    return ring, lie
+    ring = MonomialOrder(vars)
+    velocity = {DiffVar(s, 0): fi.rering(ring) for s, fi in zip(model.states, model.f)}
+    for u in model.inputs:
+        for k in range(order):
+            velocity[DiffVar(u, k)] = Poly.var(ring, DiffVar(u, k + 1), model.nparams)
+    return ring, velocity
 
 
 def output_jet_polys(model, order):
     """Symbolic y, y', ..., y^(order) as polynomials in the current state
     and the input jet: repeated total differentiation of the observation
     with x' substituted by the model right-hand side."""
-    ring, lie = _lie_derivative(model, order)
+    ring, velocity = _lie_velocity(model, order)
     jets = [model.g.rering(ring)]
     for _ in range(order):
-        jets.append(lie(jets[-1]))
+        jets.append(jets[-1].derivative(velocity))
     return ring, jets
 
 
@@ -378,7 +365,7 @@ def state_jet(model, params, state, order, u_jet=()):
     vector field (x^(k) by iterated substitution of the dynamics), as
     floats. Each input needs its jet u, u', ..., u^(order-1) in u_jet."""
     values = _param_vector(model, params)
-    ring, lie = _lie_derivative(model, order)
+    ring, velocity = _lie_velocity(model, order)
     index = _point_index(model, order)
     vals = _point_values(model, state, u_jet, order, float)
     out = {}
@@ -386,7 +373,7 @@ def state_jet(model, params, state, order, u_jet=()):
         cur = Poly.var(ring, DiffVar(s, 0), model.nparams)
         out[DiffVar(s, 0)] = compile_poly(cur, index, values)(vals)
         for k in range(1, order + 1):
-            cur = lie(cur)
+            cur = cur.derivative(velocity)
             out[DiffVar(s, k)] = compile_poly(cur, index, values)(vals)
     return out
 

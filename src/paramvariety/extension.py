@@ -13,7 +13,9 @@ as Undetermined with the P_j listed verbatim for manual analysis.
 
 Also provides the numeric counterpart: reconstructing the state jet at a
 data point from the basis' triangular elements, used to spot-check that
-certified variety points really extend to full solutions.
+certified variety points really extend to full solutions. Both halves read
+one grouping of the basis by leading variable (``_by_leading``) and one
+split of an element by powers of its leading variable (``_z_powers``).
 """
 
 from dataclasses import dataclass
@@ -76,12 +78,20 @@ def clear_denominators(poly):
     """Multiply a polynomial through by a common denominator so every
     coefficient becomes a parameter polynomial with integer content, the
     overall content is 1, and the leading term's leading parameter
-    coefficient is positive. Returns {monomial exponents: ParamPoly}."""
+    coefficient is positive. Returns {monomial exponents: ParamPoly}.
+
+    The denominators are taken leading term first, so equal polynomials
+    clear alike whatever their term order. One that the common denominator
+    already absorbs is skipped and one that it divides replaces it; any
+    other multiplies it in, so the result is a common multiple but not
+    always the least one."""
     common = ParamPoly.const(poly.n, 1)
-    for c in poly.terms.values():
-        if c.den.is_constant and c.den.constant_value() == 1:
+    for _, c in poly.terms_sorted():
+        if c.den.is_constant or exact_divide(common, c.den) is not None:
             continue
-        if exact_divide(common, c.den) is None:
+        if exact_divide(c.den, common) is not None:
+            common = c.den
+        else:
             common = common * c.den
     cleared = {}
     for m, c in poly.terms.items():
@@ -120,51 +130,48 @@ def extension_sets(model, gb):
     the basis elements whose leading variable is z_j; an empty P_j is an
     error, since the sufficient condition cannot even be stated.
     """
-    basis = tuple(gb)
-    ring = basis[0].ring
-    zvars = _state_jet_vars(model, ring)
-    by_leading = {}
-    for g in basis:
-        sup = g.support_vars()
-        if not sup:
-            continue
-        top = min(sup, key=lambda v: ring.index[v])  # highest-ranked variable
-        by_leading.setdefault(top, []).append(g)
-
+    ring, by_leading = _by_leading(gb)
     sets = []
-    for j, z in enumerate(zvars, start=1):
+    for j, z in enumerate(_state_jet_vars(model, ring), start=1):
         entries = []
         for g in by_leading.get(z, ()):
-            d = g.degree_in(z)
-            cleared = clear_denominators(g)
-            zi = ring.index[z]
-            lead_terms = {}
-            for exps, c in cleared.items():
-                if exps[zi] != d:
-                    continue
-                rest = list(exps)
-                rest[zi] = 0
-                lead_terms[tuple(rest)] = c
+            lead_terms = _z_powers(clear_denominators(g), ring.index[z],
+                                   g.degree_in(z))[0]
             if len(lead_terms) == 1 and not any(next(iter(lead_terms))):
                 entry = next(iter(lead_terms.values()))
             else:
                 entry = Poly(ring, {m: ParamRat(p) for m, p in lead_terms.items()},
                              n=g.n, _checked=False)
-            entries.append(entry)
+            if entry not in entries:
+                entries.append(entry)
         if not entries:
             raise MissingLeading(
                 f"no basis element has positive degree in {z}; the extension "
                 "condition cannot be evaluated")
-        sets.append((z, tuple(_dedupe(entries))))
+        sets.append((z, tuple(entries)))
     return sets
 
 
-def _dedupe(entries):
-    out = []
-    for e in entries:
-        if e not in out:
-            out.append(e)
-    return out
+def _by_leading(gb):
+    """The basis ring and the basis elements grouped by their leading
+    (highest-ranked) variable."""
+    basis = tuple(gb)
+    ring = basis[0].ring
+    by_leading = {}
+    for g in basis:
+        sup = g.support_vars()
+        if sup:
+            by_leading.setdefault(min(sup, key=ring.index.get), []).append(g)
+    return ring, by_leading
+
+
+def _z_powers(terms, zi, d):
+    """The coefficients of z^d, ..., z^0 (z the zi-th variable, d its
+    degree) of a term dict, as term dicts with z's exponent zeroed."""
+    parts = [{} for _ in range(d + 1)]
+    for exps, c in terms.items():
+        parts[d - exps[zi]][exps[:zi] + (0,) + exps[zi + 1:]] = c
+    return parts
 
 
 def is_unit_under(p, assumptions):
@@ -236,22 +243,13 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
     against the remaining candidates. Returns {DiffVar: value} for the state
     jet up to the requested order (default: everything in the ring).
     """
-    basis = tuple(gb)
-    ring = basis[0].ring
+    ring, by_leading = _by_leading(gb)
     values = dict(jet_values)
     pvec = [float(params[p]) for p in model.params]
     state_names = set(model.states)
-    zvars = [v for v in reversed(ring.vars) if v.base in state_names]
+    zvars = _state_jet_vars(model, ring)[::-1]
     if up_to_order is not None:
         zvars = [v for v in zvars if v.order <= up_to_order]
-
-    by_leading = {}
-    for g in basis:
-        sup = g.support_vars()
-        if not sup:
-            continue
-        top = min(sup, key=lambda v: ring.index[v])
-        by_leading.setdefault(top, []).append(g)
 
     for z in zvars:
         cands = by_leading.get(z)
@@ -274,14 +272,9 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
 
 def _univariate_roots(g, z, values, pvec):
     """Real roots in z of g with every other variable set from values."""
-    zi = g.ring.index[z]
     d = g.degree_in(z)
-    # the coefficient of z^k, highest power first, with z's exponent zeroed
-    parts = [{} for _ in range(d + 1)]
-    for exps, c in g.terms.items():
-        parts[d - exps[zi]][exps[:zi] + (0,) + exps[zi + 1:]] = c
     coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
-              for t in parts]
+              for t in _z_powers(g.terms, g.ring.index[z], d)]
     if d == 1:
         if coeffs[0] == 0.0:
             return []

@@ -381,24 +381,12 @@ def load_model(path):
 # formal differentiation and prolongation
 # ---------------------------------------------------------------------------
 
-def _derive_in_ring(p, ring):
-    """Formal total derivative inside a ring that already contains every
-    needed order+1 variable: v^(k) -> v^(k+1) by the Leibniz rule,
-    parameters are constants."""
-    out = Poly.zero(ring, p.n)
-    for exps, c in p.terms.items():
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            v = p.ring.vars[i]
-            lifted = dict((p.ring.vars[j], ej) for j, ej in enumerate(exps) if ej)
-            lifted[v] = e - 1
-            if lifted[v] == 0:
-                del lifted[v]
-            up = v.raised()
-            lifted[up] = lifted.get(up, 0) + 1
-            out = out + Poly(ring, {ring.exps(lifted): c * e}, n=p.n, _checked=True)
-    return out
+def _raise_orders(ring, n):
+    """The vector field of the formal total derivative over ring: v^(k) ->
+    v^(k+1) for every variable whose derivative the ring holds; parameters
+    are constants."""
+    return {v: Poly.var(ring, v.raised(), n) for v in ring.vars
+            if v.raised() in ring}
 
 
 def total_derivative(p, model):
@@ -413,7 +401,7 @@ def total_derivative(p, model):
                  default=-1)
     i = max(max_state, max_out) + 1
     ring = jet_ring(model, i, u_order=max(i - 1, max_in + 1))
-    return _derive_in_ring(p.rering(ring), ring)
+    return p.rering(ring).derivative(_raise_orders(ring, p.n))
 
 
 def prolong(model, order):
@@ -423,16 +411,17 @@ def prolong(model, order):
         raise ValueError("prolongation order must be >= 1")
     ring = jet_ring(model, order)
     n = model.nparams
+    velocity = _raise_orders(ring, n)
     f_cur = [fi.rering(ring) for fi in model.f]
     gens = []
     for k in range(1, order + 1):
         if k > 1:
-            f_cur = [_derive_in_ring(fi, ring) for fi in f_cur]
+            f_cur = [fi.derivative(velocity) for fi in f_cur]
         for s, fi in zip(model.states, f_cur):
             gens.append(Poly.var(ring, DiffVar(s, k), n) - fi)
     g_cur = model.g.rering(ring)
     gens.append(Poly.var(ring, DiffVar(model.output, 0), n) - g_cur)
     for k in range(1, order + 1):
-        g_cur = _derive_in_ring(g_cur, ring)
+        g_cur = g_cur.derivative(velocity)
         gens.append(Poly.var(ring, DiffVar(model.output, k), n) - g_cur)
     return ProlongedSystem(order=order, gens=tuple(gens), ring=ring)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ParamPoly
+from .algebra import ParamPoly, ParamRat, Poly, compile_poly, dict_partial
 from .errors import IllConditioned, InsufficientData, JetOrderMismatch, UsageError
 
 COND_THRESHOLD = 1e8
@@ -78,22 +78,15 @@ def build_linear_system(basis, data):
     rows = [[data.jet_value(i, var, out_name, input_names) for var in ring.vars]
             for i in range(len(data.times))]
     exact = all(_is_rational(x) for vals in rows for x in vals)
-    zero = Fraction(0) if exact else 0.0
-    rhs_terms = [(exps, c.as_fraction() if exact else float(c.as_fraction()))
-                 for exps, c in basis.rhs.terms.items()]
-
-    def monomial(vals, exps, m=1):
-        for j, e in enumerate(exps):
-            if e:
-                m *= vals[j] ** e
-        return m
-
-    matrix = [[monomial(vals, exps) for exps in basis.monos] for vals in rows]
-    rhs = [sum((monomial(vals, exps, c) for exps, c in rhs_terms), zero)
-           for vals in rows]
+    index = {var: j for j, var in enumerate(ring.vars)}
+    one = ParamRat.one(basis.rhs.n)
+    cols = [compile_poly(Poly(ring, {m: one}, n=one.n, _checked=True), index, (),
+                         exact) for m in basis.monos]
+    rhs = compile_poly(basis.rhs, index, (), exact)
+    matrix = [[col(vals) for col in cols] for vals in rows]
     dtype = object if exact else float
     return (np.array(matrix, dtype=dtype).reshape(len(rows), basis.n_coeffs),
-            np.array(rhs, dtype=dtype))
+            np.array([rhs(vals) for vals in rows], dtype=dtype))
 
 
 def _is_rational(x):
@@ -268,8 +261,8 @@ def sample_variety(constraints, free_params, ranges, n,
     def eval_eqs(full):
         return np.array([eq.evaluate(full) for eq in nontrivial]) / row_scale
 
-    partials = [[_param_partial(eq, name_idx[p]) for p in solved]
-                for eq in nontrivial]
+    partials = [[ParamPoly(eq.n, dict_partial(eq.terms, name_idx[p]), _checked=True)
+                 for p in solved] for eq in nontrivial]
 
     def eval_jac(full):
         jac = np.zeros((len(nontrivial), len(solved)))
@@ -347,16 +340,3 @@ def _newton(full, solved, name_idx, eval_eqs, eval_jac, tol, max_iter):
         else:
             return False
     return norm <= tol
-
-
-def _param_partial(poly, i):
-    terms = {}
-    for exps, c in poly.terms.items():
-        e = exps[i]
-        if not e:
-            continue
-        lowered = list(exps)
-        lowered[i] = e - 1
-        key2 = tuple(lowered)
-        terms[key2] = terms.get(key2, 0) + c * e
-    return ParamPoly(poly.n, terms)

@@ -160,6 +160,14 @@ def test_constant_denominator_kept_exact():
     assert r.evaluate([10.0]) == pytest.approx(6.0)
 
 
+def test_parameter_free_ratio_evaluates_exactly():
+    # numerator and denominator evaluate to the ints 3 and 2; their true
+    # division would give the float 1.5
+    r = ParamRat.from_const(2, Fraction(3, 2))
+    value = r.evaluate([Fraction(1, 3), Fraction(7)])
+    assert isinstance(value, Fraction) and value == Fraction(3, 2)
+
+
 def test_fraction_coefficients_cleared():
     r = ParamRat(pp(2, {(1, 0): Fraction(1, 2)}), pp(2, {(0, 1): Fraction(3, 4)}))
     assert all(isinstance(c, int) for c in r.num.terms.values())
@@ -237,7 +245,7 @@ def test_leading_term_constant():
     p = Poly.const(ring, ParamRat.from_const(1, 5))
     exps, coeff = p.leading_term()
     assert exps == (0, 0)
-    assert coeff.as_fraction() == 5
+    assert coeff == 5
 
 
 def test_leading_term_xy():

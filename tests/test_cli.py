@@ -264,6 +264,17 @@ def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_vanishing_x0_denominator_exits_usage(tmp_path, capsys):
+    # virus_full declares no assume_nonzero, so a3 = 0 reaches the x1 entry
+    code = _run("variety", "--model", str(MODELS / "virus_full.model"),
+                "--params", "a1=1.525e6,a2=0.01,a3=0,a4=0.3,a5=0.9,a6=2.0,a7=5.0",
+                "--x0", "x1=(a4*a7)/(a3*a6),x2=(a7/a6)*2.0e6,x3=2.0e6",
+                "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --x0 x1=(a4*a7)/(a3*a6): ")
+
+
 @pytest.mark.parametrize("name, value", [
     ("PARAMVARIETY_GB_MAX_PAIRS", "abc"),
     ("PARAMVARIETY_GB_MAX_BASIS", "-5"),

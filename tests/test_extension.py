@@ -1,6 +1,6 @@
 import pytest
 
-from paramvariety.algebra import DiffVar, ParamPoly, ParamRat, Poly
+from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly
 from paramvariety.errors import MissingLeading
 from paramvariety.extension import (
     CERTIFIED,
@@ -9,14 +9,17 @@ from paramvariety.extension import (
     VERDICT_CONST,
     VERDICT_UNKNOWN,
     check_extension,
+    clear_denominators,
     extension_sets,
     is_unit_under,
     reconstruct_state_jet,
     run_extension_check,
 )
 from paramvariety.groebner import buchberger, reduce_basis
-from paramvariety.model import parse_model, prolong
+from paramvariety.ioeq import derive_io_basis
+from paramvariety.model import load_model, parse_model, prolong
 
+from .conftest import MODELS
 from .helpers import pp
 
 
@@ -223,3 +226,101 @@ def test_certified_points_extend(viral_model, viral_io, viral_rgb):
         full_scale = max(scale, max(abs(v) for v in states.values()))
         for gen in psys.gens:
             assert abs(gen.evaluate(values, pvec)) <= 1e-6 * full_scale
+
+
+# ---------------------------------------------------------------------------
+# the bundled models, pinned (exact arithmetic only, so platform-independent)
+# ---------------------------------------------------------------------------
+
+BUNDLED_RENDERS = {
+    "decay": (
+        "(-a1) * y = -y'",
+        [
+            'extension check (leading coefficients per eliminated variable)',
+            "  P_1  z = x1'  {1}  -> EmptyByConstant",
+            '  P_2  z = x1   {1}  -> EmptyByConstant',
+            'overall: Certified',
+        ]),
+    "viral": (
+        "(a4*a5*a7) * y + (a4 + a7) * y' = -y''",
+        [
+            'extension check (leading coefficients per eliminated variable)',
+            "  P_1  z = x3''  {1}  -> EmptyByConstant",
+            "  P_2  z = x2''  {a5*a6 - a6}  -> EmptyByAssumption",
+            "  P_3  z = x3'   {1}  -> EmptyByConstant",
+            "  P_4  z = x2'   {a5*a6 - a6}  -> EmptyByAssumption",
+            '  P_5  z = x3    {1}  -> EmptyByConstant',
+            '  P_6  z = x2    {a5*a6 - a6}  -> EmptyByAssumption',
+            'overall: Certified',
+        ]),
+    "lotka_volterra": (
+        ('((-a1^2*a2*a3*a4*a5 + a1^2*a3^2*a4*a5^2 - a1*a2^2*a4^2 + '
+         'a1*a2*a3*a4^2*a5)/(a1*a3^2*a5^2 + a2*a3*a4*a5)) * y^2 + '
+         '((-a1^2*a2*a3^2*a4*a5*a6 + 2*a1^2*a2*a3*a4*a5 - '
+         'a1^2*a3^2*a4*a5^2 - a1*a2^2*a3*a4^2*a6 + 2*a1*a2^2*a4^2 - '
+         'a1*a2*a3*a4^2*a5)/(a1*a2*a3^2*a5^2 + a2^2*a3*a4*a5)) * y^3 + '
+         '((a1^2*a3^2*a4*a5*a6 - a1^2*a3*a4*a5 + a1*a2*a3*a4^2*a6 - '
+         'a1*a2*a4^2)/(a1*a2*a3^2*a5^2 + a2^2*a3*a4*a5)) * y^4 + '
+         '((2*a1*a2*a3*a4*a5 - a1*a3^2*a4*a5^2 + 2*a2^2*a4^2 - '
+         "a2*a3*a4^2*a5)/(a1*a3^2*a5^2 + a2*a3*a4*a5)) * y'*y + "
+         '((a1^2*a3^2*a5^2 + a1*a2*a3^2*a4*a5*a6 - a1*a2*a3*a4*a5 + '
+         'a2^2*a3*a4^2*a6 - 2*a2^2*a4^2)/(a1*a2*a3^2*a5^2 + '
+         "a2^2*a3*a4*a5)) * y'*y^2 + ((-a1*a3*a5 - a2*a4)/(a1*a3*a5)) * "
+         "y'^2 = -y''*y"),
+        [
+            'extension check (leading coefficients per eliminated variable)',
+            ("  P_1  z = x2''  {a1^2*a3^2*a5^4 + a1*a2*a3*a4*a5^3}  -> "
+             'Undetermined'),
+            "  P_2  z = x1''  {1}  -> EmptyByConstant",
+            "  P_3  z = x2'   {a1*a3*a5}  -> EmptyByAssumption",
+            "  P_4  z = x1'   {1}  -> EmptyByConstant",
+            ("  P_5  z = x2    {a1*a3*y, (a1*a3^2*a5 + a2*a3*a4)*y'}  -> "
+             'Undetermined'),
+            '  P_6  z = x1    {1}  -> EmptyByConstant',
+            'overall: Inconclusive',
+        ]),
+    "virus_full": (
+        ('(a1*a3*a5*a6 - a1*a3*a6 + a2*a4*a7) * y^2 + (a3*a4*a7) * y^3 + '
+         "(a2*a4 + a2*a7) * y'*y + (a3*a4 + a3*a7) * y'*y^2 + (-a4 - a7) "
+         "* y'^2 + (a2 + a4 + a7) * y''*y + (a3) * y''*y^2 = -y'''*y + "
+         "y''*y'"),
+        [
+            'extension check (leading coefficients per eliminated variable)',
+            "  P_1  z = x3'''  {1}  -> EmptyByConstant",
+            "  P_2  z = x2'''  {a5*a6 - a6}  -> Undetermined",
+            "  P_3  z = x1'''  {a5*a6 - a6}  -> Undetermined",
+            "  P_4  z = x3''   {1}  -> EmptyByConstant",
+            "  P_5  z = x2''   {a5*a6 - a6}  -> Undetermined",
+            "  P_6  z = x1''   {a5*a6 - a6}  -> Undetermined",
+            "  P_7  z = x3'    {1}  -> EmptyByConstant",
+            "  P_8  z = x2'    {a5*a6 - a6}  -> Undetermined",
+            "  P_9  z = x1'    {a5*a6 - a6}  -> Undetermined",
+            '  P_10  z = x3     {1}  -> EmptyByConstant',
+            '  P_11  z = x2     {a5*a6 - a6}  -> Undetermined',
+            ('  P_12  z = x1     {(a3*a5*a6 - a3*a6)*y, (a3*a5*a6 - '
+             "a3*a6)*y'}  -> Undetermined"),
+            'overall: Inconclusive',
+        ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_RENDERS))
+def test_bundled_io_equation_and_extension_report(name):
+    model = load_model(MODELS / f"{name}.model")
+    basis = derive_io_basis(model)
+    io, report = BUNDLED_RENDERS[name]
+    assert basis.render() == io
+    assert run_extension_check(model, basis.gb).render() == "\n".join(report)
+
+
+def test_clear_denominators_ignores_term_order():
+    # {x': 1/a, x: 1/(a*b)} clears to (b, 1) in both insertion orders
+    ring = MonomialOrder([DiffVar("x", 1), DiffVar("x", 0)])
+    a, b = ParamRat.gen(2, 0), ParamRat.gen(2, 1)
+    xd, x = (1, 0), (0, 1)
+    first = Poly(ring, {xd: a.inv(), x: (a * b).inv()}, n=2, _checked=True)
+    second = Poly(ring, {x: (a * b).inv(), xd: a.inv()}, n=2, _checked=True)
+    assert first == second
+    want = {xd: pp(2, {(0, 1): 1}), x: pp(2, {(0, 0): 1})}
+    assert clear_denominators(first) == want
+    assert clear_denominators(second) == want
