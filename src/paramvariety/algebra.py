@@ -30,13 +30,20 @@ built from) both read one compiled term list, ``compiled_terms``, so the
 float evaluation order is defined in one place. All values are immutable
 after construction, so they are safe to share between threads.
 
-Canonical form of a ParamRat: coefficients are cleared to integers, the
-integer gcd across numerator and denominator is 1, numerator and denominator
-share no common monomial factor, an exact trial-division pass cancels one
-into the other when possible, and the denominator's leading coefficient
-(lexicographic in parameter-declaration order) is positive. A product with
-a parameter-free factor only rescales and divides out integer content, which
-yields the same terms in the same order as the full normalization.
+One routine, ``_integer_primitive``, scales exact coefficients to integers:
+it multiplies term dicts by the one positive rational that makes every
+coefficient an int and their joint integer content 1. ParamRat's canonical
+form, ``ParamPoly.primitive`` (the constraint equations of ``variety``) and
+``clear_denominators`` (a Poly times a common denominator of its
+coefficients: the P_j sets of ``extension``) are built on it.
+
+Canonical form of a ParamRat: numerator and denominator are jointly cleared
+to integers of content 1, share no common monomial factor, an exact
+trial-division pass cancels one into the other when possible, and the
+denominator's leading coefficient (lexicographic in parameter-declaration
+order) is positive. A product with a parameter-free factor only rescales and
+divides out integer content, which yields the same terms in the same order
+as the full normalization.
 """
 
 from fractions import Fraction
@@ -50,9 +57,6 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-
-LT, EQ, GT = -1, 0, 1
-
 
 class DiffVar(NamedTuple):
     """A base variable (state/input/output) tagged with a derivative order."""
@@ -187,18 +191,26 @@ def dict_partial(A, i):
     return {k[:i] + (k[i] - 1,) + k[i + 1:]: v * k[i] for k, v in A.items() if k[i]}
 
 
-def dict_int_content(A):
-    """gcd of the (integer) coefficients; 0 for the empty dict."""
+def _integer_primitive(*term_dicts):
+    """The term dicts times the one positive rational that makes every
+    coefficient an int and their joint integer content 1, each in its term
+    order. Once any coefficient is a Fraction every coefficient is converted
+    to an int; dicts that are already int-only with content 1 come back as
+    they are, uncopied."""
+    dens = [c.denominator for terms in term_dicts for c in terms.values()
+            if isinstance(c, Fraction)]
+    if dens:
+        m = lcm(*dens)
+        term_dicts = [{k: c.numerator * (m // c.denominator) for k, c in terms.items()}
+                      for terms in term_dicts]
     g = 0
-    for v in A.values():
-        g = gcd(g, v)
+    for terms in term_dicts:
+        g = gcd(g, *terms.values())
         if g == 1:
-            return 1
-    return g
-
-
-def dict_div_int(A, g):
-    return {k: v // g for k, v in A.items()}
+            return term_dicts
+    if g > 1:
+        term_dicts = [{k: c // g for k, c in terms.items()} for terms in term_dicts]
+    return term_dicts
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +365,14 @@ class ParamPoly:
         return total
 
     def primitive(self):
-        """Content-free copy with a positive leading coefficient, plus the
-        exact scalar that was divided out."""
+        """The positive rational multiple with integer coefficients of
+        content 1, negated if its leading coefficient is negative."""
         if self.is_zero:
-            return self, Fraction(0)
-        num, scale = _clear_to_int(self)
-        g = dict_int_content(num.terms)
-        if g > 1:
-            num = ParamPoly(self.n, dict_div_int(num.terms, g), _checked=True)
-            scale *= g
-        if num.lead()[1] < 0:
-            num = -num
-            scale = -scale
-        return num, scale
+            return self
+        terms, = _integer_primitive(self.terms)
+        if terms[max(terms)] < 0:
+            terms = dict_neg(terms)
+        return ParamPoly(self.n, terms, _checked=True)
 
     def render(self, names):
         return _render_terms(self.terms, names)
@@ -382,17 +389,6 @@ def _exact(value):
         raise TypeError("floating point is not allowed in exact arithmetic; "
                         "pass a Fraction or a decimal string")
     return Fraction(value)
-
-
-def _clear_to_int(p):
-    """Scale p so every coefficient is an int; returns (poly, scale) with
-    p = poly / scale."""
-    denoms = [c.denominator for c in p.terms.values() if isinstance(c, Fraction)]
-    if not denoms:
-        return p, Fraction(1)
-    m = lcm(*denoms)
-    terms = {k: int(c * m) for k, c in p.terms.items()}
-    return ParamPoly(p.n, terms, _checked=True), Fraction(m)
 
 
 def exact_divide(num, den):
@@ -528,11 +524,8 @@ class ParamRat:
         p, q = c.num.lead()[1], c.den.lead()[1]
         if p == q:
             return self
-        num = {k: v * p for k, v in self.num.terms.items()}
-        den = {k: v * q for k, v in self.den.terms.items()}
-        g = gcd(dict_int_content(num), dict_int_content(den))
-        if g > 1:
-            num, den = dict_div_int(num, g), dict_div_int(den, g)
+        num, den = _integer_primitive({k: v * p for k, v in self.num.terms.items()},
+                                      {k: v * q for k, v in self.den.terms.items()})
         return ParamRat(ParamPoly(self.n, num, _checked=True),
                         ParamPoly(self.n, den, _checked=True), _canonical=True)
 
@@ -587,26 +580,14 @@ class ParamRat:
 
 
 def _rescale_pair(num, den):
-    """Scale num/den (jointly, preserving the quotient) so both have integer
-    coefficients with no common integer content or monomial factor."""
-    num, s_num = _clear_to_int(num)
-    den, s_den = _clear_to_int(den)
-    if s_num != s_den:
-        # num/s_num over den/s_den == (num * s_den) / (den * s_num)
-        ratio = s_den / s_num
-        num = num * ratio.numerator
-        den = den * ratio.denominator
-        num, _ = _clear_to_int(num)
-        den, _ = _clear_to_int(den)
-    g = gcd(dict_int_content(num.terms), dict_int_content(den.terms))
-    if g > 1:
-        num = ParamPoly(num.n, dict_div_int(num.terms, g), _checked=True)
-        den = ParamPoly(den.n, dict_div_int(den.terms, g), _checked=True)
-    shift = _common_monomial(num, den)
+    """Scale num/den jointly (preserving the quotient) to integer
+    coefficients of joint content 1 and divide out their common monomial
+    factor."""
+    a, b = _integer_primitive(num.terms, den.terms)
+    shift = _common_monomial(a, b)
     if any(shift):
-        num = _shift_down(num, shift)
-        den = _shift_down(den, shift)
-    return num, den
+        a, b = _shift_down(a, shift), _shift_down(b, shift)
+    return ParamPoly(num.n, a, _checked=True), ParamPoly(num.n, b, _checked=True)
 
 
 def _normalize(num, den):
@@ -634,7 +615,7 @@ def _normalize(num, den):
 
 def _common_monomial(a, b):
     m = None
-    for terms in (a.terms, b.terms):
+    for terms in (a, b):
         for exps in terms:
             m = exps if m is None else expvec_min(m, exps)
             if not any(m):
@@ -642,9 +623,8 @@ def _common_monomial(a, b):
     return m
 
 
-def _shift_down(p, shift):
-    terms = {expvec_sub(exps, shift): c for exps, c in p.terms.items()}
-    return ParamPoly(p.n, terms, _checked=True)
+def _shift_down(terms, shift):
+    return {expvec_sub(exps, shift): c for exps, c in terms.items()}
 
 
 def render_monomial(exps, names):
@@ -681,7 +661,8 @@ def _render_terms(terms, names):
 
 class MonomialOrder:
     """Pure lexicographic order given by an ordered variable list (highest
-    first). Also serves as the ambient ring description for Poly."""
+    first), so monomials compare as their exponent tuples do. Also serves as
+    the ambient ring description for Poly."""
 
     __slots__ = ("vars", "index")
 
@@ -717,14 +698,6 @@ class MonomialOrder:
                 raise UnknownVariable(f"variable {var} not in the monomial order")
             exps[i] = e
         return tuple(exps)
-
-    def compare(self, m1, m2):
-        """LT/EQ/GT of two monomials; exponent tuples are aligned highest
-        variable first, so this is plain tuple comparison."""
-        a, b = self.exps(m1), self.exps(m2)
-        if a == b:
-            return EQ
-        return GT if a > b else LT
 
     def suffix_start(self, keep):
         """Index k such that keep == vars[k:], else InvalidBlock."""
@@ -1050,3 +1023,36 @@ def poly_divide(f, divisors):
             del work[mono]
     return ([Poly(ring, q, n=f.n, _checked=True) for q in quots],
             Poly(ring, rem, n=f.n, _checked=True))
+
+
+def clear_denominators(poly):
+    """Multiply a Poly through by a common denominator of its coefficients
+    and then by _integer_primitive's positive rational, so every coefficient
+    becomes an integer ParamPoly, their joint content is 1, and the leading
+    term's leading parameter coefficient is positive. Returns {monomial
+    exponents: ParamPoly} in the Poly's term order.
+
+    The denominators are taken leading term first, so equal polynomials
+    clear alike whatever their term order. One that the common denominator
+    already absorbs is skipped and one that it divides replaces it; any
+    other multiplies it in, so the result is a common multiple but not
+    always the least one."""
+    common = ParamPoly.const(poly.n, 1)
+    for _, c in poly.terms_sorted():
+        if c.den.is_constant or exact_divide(common, c.den) is not None:
+            continue
+        if exact_divide(c.den, common) is not None:
+            common = c.den
+        else:
+            common = common * c.den
+    cleared = []
+    for c in poly.terms.values():
+        q = exact_divide(c.num * common, c.den)
+        if q is None:  # cannot happen: den divides common by construction
+            raise ArithmeticError("denominator failed to clear")
+        cleared.append(q.terms)
+    cleared = dict(zip(poly.terms, _integer_primitive(*cleared)))
+    lead = cleared[max(cleared)]
+    if lead[max(lead)] < 0:
+        cleared = {m: dict_neg(t) for m, t in cleared.items()}
+    return {m: ParamPoly(poly.n, t, _checked=True) for m, t in cleared.items()}

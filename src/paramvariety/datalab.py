@@ -136,6 +136,7 @@ def _state_index(model):
 _BASE_DENSITY = 64     # RK4 substeps per unit time before refinement
 _REL_TOL = 1e-8
 _MAX_HALVINGS = 3
+_FD_STEP = 1e-3        # sample spacing of the finite-difference trajectory
 
 _KERNEL_SOURCE = """\
 def kernel(x, t0, t1, nsteps, isfinite=isfinite, {defaults}):
@@ -213,12 +214,11 @@ def _rk4_kernel(model, params):
     return namespace.pop("kernel")
 
 
-def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
-                    max_halvings=_MAX_HALVINGS):
+def integrate_model(model, params, x0, grid):
     """Classical RK4 along the given time grid.
 
     The substep is refined by halving until the outputs change by less than
-    rel_tol relative (at most max_halvings extra refinements). Every segment
+    _REL_TOL relative (at most _MAX_HALVINGS extra refinements). Every segment
     of every refinement runs in one kernel generated for this call
     (_rk4_kernel): straight-line code on Python float locals whose
     right-hand sides evaluate in compile_poly's operation order (sum seeded
@@ -254,10 +254,10 @@ def integrate_model(model, params, x0, grid, rel_tol=_REL_TOL,
 
     states = run(1)
     mult = 1
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         finer = run(mult * 2)
         scale = np.maximum(1e-300, np.abs(finer))
-        if np.max(np.abs(finer - states) / scale) < rel_tol:
+        if np.max(np.abs(finer - states) / scale) < _REL_TOL:
             states = finer
             break
         states, mult = finer, mult * 2
@@ -466,8 +466,7 @@ def central_difference(times, values, order):
 # dataset construction and CSV
 # ---------------------------------------------------------------------------
 
-def make_dataset(model, params, x0, times, order, t0=None, method="symbolic",
-                 fd_step=1e-3):
+def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
     """Generate a pseudo-data DataSet at the given measurement times.
 
     method 'symbolic' integrates the state with RK4 (in floating point) and
@@ -492,9 +491,12 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic",
         rows = [exact_viral_solution(a4, a5, a7, t0, x3_t0, t) for t in times]
         return DataSet(times=times, y_jets=[tuple(r) for r in rows],
                        sources=["exact_solution"] * len(times))
+    if method not in ("symbolic", "finite-difference"):
+        raise ValueError(f"unknown pseudo-data method {method!r}")
+    # both methods integrate forward from x0, the state at t0
+    if times[0] < t0 - 1e-12:
+        raise UsageError("measurement times must not precede the initial time")
     if method == "symbolic":
-        if times[0] < t0 - 1e-12:
-            raise UsageError("measurement times must not precede the initial time")
         grid = [t0] + [t for t in times if t > t0 + 1e-15]
         traj = integrate_model(model, params, x0, grid)
         jet = _jet_evaluator(model, params, order)
@@ -504,18 +506,14 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic",
             y_jets.append(jet(traj.states[i]))
         return DataSet(times=times, y_jets=y_jets,
                        sources=["symbolic_pushforward"] * len(times))
-    if method == "finite-difference":
-        lo = min(t0, times[0])
-        hi = times[-1]
-        nsteps = max(int(round((hi - lo) / fd_step)), 8)
-        grid = np.linspace(lo, hi, nsteps + 1)
-        traj = integrate_model(model, params, x0, grid)
-        table, sources = central_difference(traj.times, traj.outputs, order)
-        idx = [int(np.argmin(np.abs(grid - t))) for t in times]
-        return DataSet(times=[float(grid[i]) for i in idx],
-                       y_jets=[tuple(table[i]) for i in idx],
-                       sources=[sources[i] for i in idx])
-    raise ValueError(f"unknown pseudo-data method {method!r}")
+    nsteps = max(int(round((times[-1] - t0) / _FD_STEP)), 8)
+    grid = np.linspace(t0, times[-1], nsteps + 1)
+    traj = integrate_model(model, params, x0, grid)
+    table, sources = central_difference(traj.times, traj.outputs, order)
+    idx = [int(np.argmin(np.abs(grid - t))) for t in times]
+    return DataSet(times=[float(grid[i]) for i in idx],
+                   y_jets=[tuple(table[i]) for i in idx],
+                   sources=[sources[i] for i in idx])
 
 
 def dataset_columns(order, input_names=(), input_order=None):

@@ -2,7 +2,8 @@
 
 Walks the elimination-ideal chain of the prolonged system: each eliminated
 state-jet variable z_j contributes the set P_j of denominator-cleared
-leading coefficients of the basis elements whose leading variable is z_j.
+leading coefficients of the basis elements whose leading variable is z_j
+(cleared by ``algebra.clear_denominators``).
 When every P_j contains a unit (a nonzero constant, or a product of
 declared-nonzero factors), every partial solution extends, so the variety
 equals the set of data-consistent parameters.
@@ -19,8 +20,6 @@ split of an element by powers of its leading variable (``_z_powers``).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .algebra import (
     ParamPoly,
     ParamRat,
     Poly,
-    dict_div_int,
-    dict_int_content,
+    clear_denominators,
     exact_divide,
 )
 from .errors import MissingLeading
@@ -72,53 +70,6 @@ def _state_jet_vars(model, ring):
     """State-jet variables of the ring, highest first: z_1 ... z_{N(L+1)}."""
     state_names = set(model.states)
     return [v for v in ring.vars if v.base in state_names]
-
-
-def clear_denominators(poly):
-    """Multiply a polynomial through by a common denominator so every
-    coefficient becomes a parameter polynomial with integer content, the
-    overall content is 1, and the leading term's leading parameter
-    coefficient is positive. Returns {monomial exponents: ParamPoly}.
-
-    The denominators are taken leading term first, so equal polynomials
-    clear alike whatever their term order. One that the common denominator
-    already absorbs is skipped and one that it divides replaces it; any
-    other multiplies it in, so the result is a common multiple but not
-    always the least one."""
-    common = ParamPoly.const(poly.n, 1)
-    for _, c in poly.terms_sorted():
-        if c.den.is_constant or exact_divide(common, c.den) is not None:
-            continue
-        if exact_divide(c.den, common) is not None:
-            common = c.den
-        else:
-            common = common * c.den
-    cleared = {}
-    for m, c in poly.terms.items():
-        q = exact_divide(c.num * common, c.den)
-        if q is None:  # cannot happen: den divides common by construction
-            raise ArithmeticError("denominator failed to clear")
-        cleared[m] = q
-    # one common integer scaling keeps the coefficient ratios exact
-    scale = lcm(*(c.denominator for p in cleared.values()
-                  for c in p.terms.values() if isinstance(c, Fraction)))
-    if scale > 1:
-        cleared = {m: p * scale for m, p in cleared.items()}
-    cleared = {m: ParamPoly(p.n, {e: int(c) for e, c in p.terms.items()},
-                            _checked=True)
-               for m, p in cleared.items()}
-    content = 0
-    for p in cleared.values():
-        content = gcd(content, dict_int_content(p.terms))
-        if content == 1:
-            break
-    if content > 1:
-        cleared = {m: ParamPoly(p.n, dict_div_int(p.terms, content), _checked=True)
-                   for m, p in cleared.items()}
-    lead_mono = max(cleared)
-    if cleared[lead_mono].lead()[1] < 0:
-        cleared = {m: -p for m, p in cleared.items()}
-    return cleared
 
 
 def extension_sets(model, gb):
@@ -179,7 +130,7 @@ def is_unit_under(p, assumptions):
     into declared-nonzero factors times a nonzero constant."""
     if p.is_zero:
         return False
-    p, _ = p.primitive()
+    p = p.primitive()
     progress = True
     while progress and not p.is_constant:
         progress = False
@@ -188,7 +139,7 @@ def is_unit_under(p, assumptions):
                 continue
             q = exact_divide(p, a)
             if q is not None and not q.is_zero:
-                p, _ = q.primitive()
+                p = q.primitive()
                 progress = True
                 break
     return p.is_constant and not p.is_zero

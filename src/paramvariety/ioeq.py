@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from .algebra import MonomialOrder, Poly, render_monomial
 from .errors import InternalError, MultipleIOEquations, NoParameterDependence
 from .groebner import ReducedGB, buchberger, elimination_subset, reduce_basis
-from .model import jet_ring, prolong
+from .model import prolong
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,7 @@ class IOEquationBasis:
                 f"{self.render()}\n")
 
 
-def _state_free_ring(model, i):
-    """The output/input jet subring of the order-i jet ring (a suffix of
-    the full lex order, so relative order is preserved)."""
-    full = jet_ring(model, i)
-    jet_vars = [v for v in full.vars
-                if v.base == model.output or v.base in model.inputs]
-    return MonomialOrder(jet_vars)
-
-
-def derive_io_basis(model, limits=None):
+def derive_io_basis(model):
     """Run the prolongation loop and return the normalized IO equation.
 
     Loops i = 1, 2, ...: prolong, reduced basis, state-free subset; stops at
@@ -84,7 +75,7 @@ def derive_io_basis(model, limits=None):
     """
     for i in range(1, model.nstates + 1):
         psys = prolong(model, i)
-        gb = buchberger(psys.gens, psys.ring, limits=limits)
+        gb = buchberger(psys.gens, psys.ring)
         rgb = reduce_basis(gb, psys.ring)
         keep = [v for v in psys.ring.vars
                 if v.base == model.output or v.base in model.inputs]
@@ -94,7 +85,8 @@ def derive_io_basis(model, limits=None):
                 raise MultipleIOEquations(
                     f"{len(subset)} state-free elements at order {i}; the "
                     "theory expects exactly one for a scalar output")
-            h = subset[0].rering(_state_free_ring(model, i))
+            # keep is a suffix of the lex order, so rering keeps its order
+            h = subset[0].rering(MonomialOrder(keep))
             basis = normalize_io(h, L=i, param_names=model.params,
                                  output_name=model.output,
                                  input_names=model.inputs)

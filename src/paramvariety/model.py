@@ -358,7 +358,7 @@ def parse_model(text):
                 raise ModelSyntaxError(
                     "assume_nonzero entries must involve parameters only", lineno)
             # c = num/den is nonzero exactly when its numerator is
-            assumptions.append(rat.num.primitive()[0])
+            assumptions.append(rat.num.primitive())
 
     return ModelSpec(
         states=states,

@@ -21,6 +21,8 @@ from .algebra import ParamPoly, ParamRat, Poly, compile_poly, dict_partial
 from .errors import IllConditioned, InsufficientData, JetOrderMismatch, UsageError
 
 COND_THRESHOLD = 1e8
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def _is_rational(x):
     return isinstance(x, (int, Fraction))
 
 
-def solve_coefficients(matrix, rhs, cond_threshold=COND_THRESHOLD):
+def solve_coefficients(matrix, rhs):
     """Solve for the coefficient values: exact solve when square, least
     squares when overdetermined. Reports the residual norm and the float
     condition number of the matrix.
@@ -103,7 +105,7 @@ def solve_coefficients(matrix, rhs, cond_threshold=COND_THRESHOLD):
     elimination, on the normal equations when overdetermined; they are
     refused only when exactly rank deficient, whatever their condition.
     Float systems (measured data) are solved in floating point and refused
-    when rank deficient or when the condition exceeds cond_threshold.
+    when rank deficient or when the condition exceeds COND_THRESHOLD.
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
@@ -117,10 +119,10 @@ def solve_coefficients(matrix, rhs, cond_threshold=COND_THRESHOLD):
     cond = float(np.linalg.cond(fmatrix))
     if all(map(_is_rational, matrix.flat)) and all(map(_is_rational, rhs.flat)):
         return _solve_exact(matrix.tolist(), rhs.tolist(), cond)
-    if not math.isfinite(cond) or cond > cond_threshold:
+    if not math.isfinite(cond) or cond > COND_THRESHOLD:
         raise IllConditioned(
             f"coefficient system condition estimate {cond:.3g} exceeds "
-            f"{cond_threshold:.3g}; resample the measurement time points")
+            f"{COND_THRESHOLD:.3g}; resample the measurement time points")
     if k == l:
         v = np.linalg.solve(fmatrix, frhs)
     else:
@@ -206,7 +208,7 @@ def variety_constraints(basis, v, assumptions=(), residual=0.0, cond=0.0):
         val = rationalize(value)
         eq = coeff.num * val.denominator - coeff.den * val.numerator
         if not eq.is_zero:
-            eq = eq.primitive()[0]
+            eq = eq.primitive()
         equations.append(eq)
     return VarietyConstraints(
         v=list(v),
@@ -225,8 +227,7 @@ class SampleResult:
     free_params: tuple
 
 
-def sample_variety(constraints, free_params, ranges, n,
-                   newton_tol=1e-10, max_iter=60):
+def sample_variety(constraints, free_params, ranges, n):
     """Sample parameter points on the constraint variety.
 
     Grids the free parameters over their ranges and solves the remaining
@@ -234,7 +235,8 @@ def sample_variety(constraints, free_params, ranges, n,
     solved parameter's range. Points that leave their declared range,
     violate a nonzero assumption, or fail to converge are skipped, with the
     count reported. n, the number of grid points asked for, must be an
-    integer of at least 1; anything else raises UsageError.
+    integer of at least 1 and every range (lo, hi) must have lo <= hi;
+    anything else raises UsageError.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise UsageError(f"sample count must be an integer of at least 1, "
@@ -250,6 +252,9 @@ def sample_variety(constraints, free_params, ranges, n,
     for p in cparams:
         if p not in ranges:
             raise UsageError(f"no range given for constraint parameter {p!r}")
+        if ranges[p][0] > ranges[p][1]:
+            raise UsageError(f"range of {p!r} is reversed: {ranges[p][0]} > "
+                             f"{ranges[p][1]}")
 
     names = constraints.param_names
     name_idx = {p: i for i, p in enumerate(names)}
@@ -295,8 +300,7 @@ def sample_variety(constraints, free_params, ranges, n,
         for p in solved:
             lo, hi = ranges[p]
             full[name_idx[p]] = 0.5 * (lo + hi)
-        ok = _newton(full, solved, name_idx, eval_eqs, eval_jac,
-                     newton_tol, max_iter)
+        ok = _newton(full, solved, name_idx, eval_eqs, eval_jac)
         if not ok:
             skipped += 1
             continue
@@ -311,13 +315,13 @@ def sample_variety(constraints, free_params, ranges, n,
     return SampleResult(points=points, skipped=skipped, free_params=free_params)
 
 
-def _newton(full, solved, name_idx, eval_eqs, eval_jac, tol, max_iter):
+def _newton(full, solved, name_idx, eval_eqs, eval_jac):
     if not solved:
-        return float(np.linalg.norm(eval_eqs(full))) <= tol
+        return float(np.linalg.norm(eval_eqs(full))) <= _NEWTON_TOL
     res = eval_eqs(full)
     norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if norm <= _NEWTON_TOL:
             return True
         jac = eval_jac(full)
         try:
@@ -331,7 +335,7 @@ def _newton(full, solved, name_idx, eval_eqs, eval_jac, tol, max_iter):
                 trial[name_idx[p]] = full[name_idx[p]] + damp * s
             t_res = eval_eqs(trial)
             t_norm = float(np.linalg.norm(t_res))
-            if t_norm < norm or t_norm <= tol:
+            if t_norm < norm or t_norm <= _NEWTON_TOL:
                 for p in solved:
                     full[name_idx[p]] = trial[name_idx[p]]
                 res, norm = t_res, t_norm
@@ -339,4 +343,4 @@ def _newton(full, solved, name_idx, eval_eqs, eval_jac, tol, max_iter):
             damp *= 0.5
         else:
             return False
-    return norm <= tol
+    return norm <= _NEWTON_TOL

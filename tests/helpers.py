@@ -1,8 +1,11 @@
 """Shared construction helpers for the test suite."""
 
+import itertools
 from fractions import Fraction
 
 from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly
+
+from .conftest import MODELS
 
 
 def pp(n, terms):
@@ -64,3 +67,40 @@ def random_poly(rng, ring, n, max_terms=4, max_deg=2, rational=False):
         if not c.is_zero:
             terms[exps] = c
     return Poly(ring, terms, n=n)
+
+
+def chain_text(n):
+    """Linear chain x1' = -k1 x1, xi' = k(i-1) x(i-1) - ki xi, y = xn."""
+    lines = ["states: " + " ".join(f"x{i}" for i in range(1, n + 1)),
+             "output: y",
+             "params: " + " ".join(f"k{i}" for i in range(1, n + 1)),
+             "assume_nonzero: " + ", ".join(f"k{i}" for i in range(1, n + 1)),
+             "horizon: 0 10",
+             "dx1/dt = -k1*x1"]
+    lines += [f"dx{i}/dt = k{i - 1}*x{i - 1} - k{i}*x{i}" for i in range(2, n + 1)]
+    lines.append(f"y = x{n}")
+    return "\n".join(lines) + "\n"
+
+
+def _permuted(text, order):
+    return "".join("states: " + " ".join(order) + "\n"
+                   if line.startswith("states:") else line
+                   for line in text.splitlines(keepends=True))
+
+
+def derive_inputs():
+    """The bundled models, every other state order of lotka_volterra and
+    virus_full, and linear chains of 2 to 5 states."""
+    texts = {}
+    for name in ("decay", "viral", "lotka_volterra", "virus_full"):
+        text = (MODELS / f"{name}.model").read_text()
+        texts[name] = text
+        if name in ("lotka_volterra", "virus_full"):
+            states = next(line for line in text.splitlines()
+                          if line.startswith("states:")).split()[1:]
+            for order in itertools.permutations(states):
+                if list(order) != states:
+                    texts[f"{name}-{'-'.join(order)}"] = _permuted(text, order)
+    for n in (2, 3, 4, 5):
+        texts[f"chain{n}"] = chain_text(n)
+    return texts

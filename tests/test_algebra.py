@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from paramvariety.algebra import (
-    EQ,
-    GT,
-    LT,
     DiffVar,
     MonomialOrder,
+    ParamPoly,
     ParamRat,
     Poly,
+    _integer_primitive,
+    _rescale_pair,
     dict_mul,
     exact_divide,
+    expvec_sub,
     poly_divide,
 )
 from paramvariety.errors import (
@@ -199,33 +200,40 @@ def test_lex_compare_paper_ordering():
     vars = [DiffVar("x3", 2), DiffVar("x2", 2), DiffVar("x3", 1),
             DiffVar("x2", 1), DiffVar("x3", 0), DiffVar("x2", 0)]
     order = MonomialOrder(vars)
-    m_x3dd = {DiffVar("x3", 2): 1}
-    m_x2dd = {DiffVar("x2", 2): 1}
-    assert order.compare(m_x3dd, m_x2dd) == GT
-    assert order.compare(m_x2dd, m_x3dd) == LT
-    assert order.compare(m_x3dd, m_x3dd) == EQ
+    m_x3dd = order.exps({DiffVar("x3", 2): 1})
+    m_x2dd = order.exps({DiffVar("x2", 2): 1})
+    assert m_x3dd > m_x2dd
+    assert not m_x2dd > m_x3dd
+    assert m_x3dd == order.exps({DiffVar("x3", 2): 1})
+    p = Poly(order, {m_x2dd: 1, m_x3dd: 1}, n=1)
+    assert p.leading_term()[0] == m_x3dd
 
 
 def test_lex_ignores_total_degree():
     y1, y0 = DiffVar("y", 1), DiffVar("y", 0)
     order = MonomialOrder([y1, y0])
-    assert order.compare({y0: 2}, {y1: 1}) == LT
+    p = Poly(order, {order.exps({y0: 2}): 1, order.exps({y1: 1}): 1}, n=1)
+    assert p.leading_term()[0] == order.exps({y1: 1})
 
 
 def test_lex_unknown_variable():
     order = MonomialOrder([DiffVar("y", 0)])
     with pytest.raises(UnknownVariable):
-        order.compare({DiffVar("z", 0): 1}, {DiffVar("y", 0): 1})
+        order.exps({DiffVar("z", 0): 1})
 
 
 def test_lex_antisymmetric_transitive(rng):
     ring, _, _ = xy_ring()
+
+    def lead(*ms):
+        return Poly(ring, {m: 1 for m in ms}, n=1).leading_term()[0]
+
     for _ in range(100):
-        ms = [tuple(rng.randint(0, 3) for _ in ring.vars) for _ in range(3)]
-        a, b, c = ms
-        assert ring.compare(a, b) == -ring.compare(b, a)
-        if ring.compare(a, b) != LT and ring.compare(b, c) != LT:
-            assert ring.compare(a, c) != LT
+        a, b, c = (ring.exps(tuple(rng.randint(0, 3) for _ in ring.vars))
+                   for _ in range(3))
+        assert lead(a, b) == lead(b, a) in (a, b)
+        if lead(a, b) == a and lead(b, c) == b:
+            assert lead(a, c) == a
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +373,101 @@ def test_dict_mul_against_naive():
                 naive[k] = naive.get(k, 0) + va * vb
         naive = {k: v for k, v in naive.items() if v}
         assert dict_mul(a, b) == naive
+
+
+# ---------------------------------------------------------------------------
+# integer clearing against the routines that _integer_primitive replaced
+# ---------------------------------------------------------------------------
+
+def _ref_clear_to_int(p):
+    """The former algebra._clear_to_int: (poly, scale), p = poly / scale."""
+    denoms = [c.denominator for c in p.terms.values() if isinstance(c, Fraction)]
+    if not denoms:
+        return p, Fraction(1)
+    m = lcm(*denoms)
+    terms = {k: int(c * m) for k, c in p.terms.items()}
+    return ParamPoly(p.n, terms, _checked=True), Fraction(m)
+
+
+def _ref_content(terms):
+    g = 0
+    for v in terms.values():
+        g = gcd(g, v)
+    return g
+
+
+def _ref_div(p, g):
+    return ParamPoly(p.n, {k: v // g for k, v in p.terms.items()}, _checked=True)
+
+
+def _ref_rescale_pair(num, den):
+    """The former algebra._rescale_pair: clear num and den apart, bring them
+    to one scale and clear again, then divide out the joint content and the
+    common monomial factor."""
+    num, s_num = _ref_clear_to_int(num)
+    den, s_den = _ref_clear_to_int(den)
+    if s_num != s_den:
+        ratio = s_den / s_num
+        num, _ = _ref_clear_to_int(num * ratio.numerator)
+        den, _ = _ref_clear_to_int(den * ratio.denominator)
+    g = gcd(_ref_content(num.terms), _ref_content(den.terms))
+    if g > 1:
+        num, den = _ref_div(num, g), _ref_div(den, g)
+    shift = tuple(map(min, zip(*num.terms, *den.terms)))
+    if any(shift):
+        num, den = (ParamPoly(p.n, {expvec_sub(k, shift): c for k, c in p.terms.items()},
+                              _checked=True) for p in (num, den))
+    return num, den
+
+
+def _ref_primitive(p):
+    """The former ParamPoly.primitive, without the scale it also returned."""
+    num, _ = _ref_clear_to_int(p)
+    g = _ref_content(num.terms)
+    if g > 1:
+        num = _ref_div(num, g)
+    return -num if num.lead()[1] < 0 else num
+
+
+def _clearing_input(rng, n, kind):
+    """A nonzero ParamPoly whose coefficients are ints with a common content
+    of 1 to 6 ('int'), Fractions over multiples of one drawn scale
+    ('fraction'), whole Fractions k/1 ('whole'), or a mix of the three."""
+    content = rng.randint(1, 6)
+    scale = rng.choice([2, 3, 4, 6, 9, 10, 12])
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice([-1, 1]) * rng.randint(1, 9)
+        c = {"int": k * content, "fraction": Fraction(k, scale * rng.randint(1, 3)),
+             "whole": Fraction(k)}[rng.choice(["int", "fraction", "whole"])
+                                   if kind == "mixed" else kind]
+        terms[tuple(rng.randint(0, 2) for _ in range(n))] = c
+    return ParamPoly(n, terms, _checked=True)
+
+
+def test_integer_clearing_matches_reference():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        num, den = (_clearing_input(rng, n, rng.choice(["int", "fraction", "whole",
+                                                         "mixed"]))
+                    for _ in range(2))
+        got, want = _rescale_pair(num, den), _ref_rescale_pair(num, den)
+        assert [repr(p.terms) for p in got] == [repr(p.terms) for p in want]
+        for p in (num, den):
+            assert repr(p.primitive().terms) == repr(_ref_primitive(p).terms)
+            coeffs = list(p.terms.values())
+            if any(isinstance(c, Fraction) and c.denominator == 1 for c in coeffs):
+                seen.add("whole")
+            if all(isinstance(c, int) for c in coeffs) and _ref_content(p.terms) > 1:
+                seen.add("int content > 1")
+            if p.lead()[1] < 0:
+                seen.add("negative lead")
+        scales = {_ref_clear_to_int(p)[1] for p in (num, den)}
+        if len(scales) == 2 and Fraction(1) not in scales:
+            seen.add("different scales")
+    assert seen == {"whole", "int content > 1", "negative lead", "different scales"}
+    # the common case: an int-only dict of content 1 comes back uncopied
+    terms = {(1, 0): 3, (0, 1): -2}
+    assert _integer_primitive(terms)[0] is terms

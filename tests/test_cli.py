@@ -252,12 +252,15 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
     ["sample", "--v", "0.8512,5.76", "--free", "a4", *VIRAL_RANGES],
     ["variety", *VIRAL_GEN, "--times", "1.8594,6.1602", "--samples", "-3",
      "--free", "a4", *VIRAL_RANGES],
+    ["sample", "--v", "0.8512,5.76", "--samples", "8", "--free", "a4",
+     "--ranges", "a4=5.76:0,a5=0:1,a7=0:8"],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
         "missing-x0", "missing-ranges", "bad-v-count", "bad-v-value",
         "bad-axes", "zero-n-times", "closed-form-wrong-model",
-        "negative-samples", "sample-without-samples", "variety-negative-samples"])
+        "negative-samples", "sample-without-samples", "variety-negative-samples",
+        "reversed-range"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2

@@ -24,6 +24,7 @@ from paramvariety.errors import (
     DegenerateEigenvalues,
     InsufficientData,
     JetOrderMismatch,
+    UsageError,
 )
 from paramvariety.model import load_model, parse_model
 
@@ -538,7 +539,7 @@ def test_finite_difference_dataset(viral_model):
     params = dict(a4=s["a4"], a5=s["a5"], a6=1.0, a7=s["a7"])
     x0 = [params["a7"] * s["x3"], s["x3"]]
     ds = make_dataset(viral_model, params, x0, [1.0, 2.0], order=2,
-                      t0=s["t0"], method="finite-difference", fd_step=1e-3)
+                      t0=s["t0"], method="finite-difference")
     exact = make_dataset(viral_model, params, x0, ds.times, order=2,
                          t0=s["t0"], method="exact-viral")
     # plumbing check: the differentiated trajectory carries the integrator's
@@ -548,6 +549,16 @@ def test_finite_difference_dataset(viral_model):
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-2, abs=1e-6)
     assert all(s.startswith("finite_difference") for s in ds.sources)
+
+
+@pytest.mark.parametrize("method", ["symbolic", "finite-difference"])
+def test_times_before_t0_refused(viral_model, method):
+    # x0 is the state at t0; finite differences used to start the grid at
+    # the earliest time instead and so moved x0 there
+    params = dict(a4=0.16, a5=0.95, a6=1.0, a7=5.6)
+    with pytest.raises(UsageError, match="precede the initial time"):
+        make_dataset(viral_model, params, [5.6e6, 1.0e6], [0.3, 1.0, 2.0],
+                     order=2, t0=0.5, method=method)
 
 
 def test_state_jet_uses_input_jet():

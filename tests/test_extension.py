@@ -1,6 +1,19 @@
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
-from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly
+from paramvariety import extension
+from paramvariety.algebra import (
+    DiffVar,
+    MonomialOrder,
+    ParamPoly,
+    ParamRat,
+    Poly,
+    clear_denominators,
+    exact_divide,
+)
 from paramvariety.errors import MissingLeading
 from paramvariety.extension import (
     CERTIFIED,
@@ -9,7 +22,6 @@ from paramvariety.extension import (
     VERDICT_CONST,
     VERDICT_UNKNOWN,
     check_extension,
-    clear_denominators,
     extension_sets,
     is_unit_under,
     reconstruct_state_jet,
@@ -20,7 +32,7 @@ from paramvariety.ioeq import derive_io_basis
 from paramvariety.model import load_model, parse_model, prolong
 
 from .conftest import MODELS
-from .helpers import pp
+from .helpers import derive_inputs, pp, random_poly, xy_ring
 
 
 def _reduced(model, order):
@@ -324,3 +336,56 @@ def test_clear_denominators_ignores_term_order():
     want = {xd: pp(2, {(0, 1): 1}), x: pp(2, {(0, 0): 1})}
     assert clear_denominators(first) == want
     assert clear_denominators(second) == want
+
+
+def _ref_clear_denominators(poly):
+    """clear_denominators with the integer tail it had before it moved into
+    algebra: one lcm of the Fraction denominators, an int cast of every
+    coefficient, then the joint content and the sign."""
+    common = ParamPoly.const(poly.n, 1)
+    for _, c in poly.terms_sorted():
+        if c.den.is_constant or exact_divide(common, c.den) is not None:
+            continue
+        if exact_divide(c.den, common) is not None:
+            common = c.den
+        else:
+            common = common * c.den
+    cleared = {m: exact_divide(c.num * common, c.den) for m, c in poly.terms.items()}
+    scale = lcm(*(c.denominator for p in cleared.values()
+                  for c in p.terms.values() if isinstance(c, Fraction)))
+    if scale > 1:
+        cleared = {m: p * scale for m, p in cleared.items()}
+    cleared = {m: ParamPoly(p.n, {e: int(c) for e, c in p.terms.items()},
+                            _checked=True)
+               for m, p in cleared.items()}
+    content = 0
+    for p in cleared.values():
+        for c in p.terms.values():
+            content = gcd(content, c)
+    if content > 1:
+        cleared = {m: ParamPoly(p.n, {e: c // content for e, c in p.terms.items()},
+                                _checked=True)
+                   for m, p in cleared.items()}
+    if cleared[max(cleared)].lead()[1] < 0:
+        cleared = {m: -p for m, p in cleared.items()}
+    return cleared
+
+
+def test_clear_denominators_matches_reference(monkeypatch):
+    rng = random.Random(17)
+    ring, _, _ = xy_ring()
+    for _ in range(200):
+        p = random_poly(rng, ring, 2, rational=True)
+        if not p.is_zero:
+            assert repr(clear_denominators(p)) == repr(_ref_clear_denominators(p))
+    # every P_j of the derive inputs, and the clearing of every basis element
+    for label, text in derive_inputs().items():
+        model = parse_model(text)
+        gb = derive_io_basis(model).gb
+        for g in gb:
+            assert (repr(clear_denominators(g))
+                    == repr(_ref_clear_denominators(g))), label
+        got = repr(extension_sets(model, gb))
+        with monkeypatch.context() as m:
+            m.setattr(extension, "clear_denominators", _ref_clear_denominators)
+            assert repr(extension_sets(model, gb)) == got, label

@@ -30,8 +30,7 @@ from paramvariety.groebner import (
     s_polynomial,
 )
 
-from .conftest import MODELS
-from .helpers import random_poly
+from .helpers import chain_text, derive_inputs, random_poly
 
 
 def _xyz_ring():
@@ -195,37 +194,13 @@ def _min_scan_buchberger(gens, limits):
     return basis, processed
 
 
-def _permuted(text, order):
-    return "".join("states: " + " ".join(order) + "\n"
-                   if line.startswith("states:") else line
-                   for line in text.splitlines(keepends=True))
-
-
-def _derive_inputs():
-    """The bundled models, every other state order of lotka_volterra and
-    virus_full, and linear chains of 2 to 5 states."""
-    texts = {}
-    for name in ("decay", "viral", "lotka_volterra", "virus_full"):
-        text = (MODELS / f"{name}.model").read_text()
-        texts[name] = text
-        if name in ("lotka_volterra", "virus_full"):
-            states = next(line for line in text.splitlines()
-                          if line.startswith("states:")).split()[1:]
-            for order in itertools.permutations(states):
-                if list(order) != states:
-                    texts[f"{name}-{'-'.join(order)}"] = _permuted(text, order)
-    for n in (2, 3, 4, 5):
-        texts[f"chain{n}"] = _chain_text(n)
-    return texts
-
-
 def _dump(basis):
     return [(repr(g), repr(g.terms)) for g in basis]
 
 
 def test_pair_queue_matches_min_scan():
     unlimited = GBLimits()
-    inputs = _derive_inputs()
+    inputs = derive_inputs()
     checked = 0
     for label, text in inputs.items():
         model = parse_model(text)
@@ -268,26 +243,13 @@ def test_redundant_generator_removed():
     assert rgb.basis[0] == f
 
 
-def _chain_text(n):
-    """Linear chain x1' = -k1 x1, xi' = k(i-1) x(i-1) - ki xi, y = xn."""
-    lines = ["states: " + " ".join(f"x{i}" for i in range(1, n + 1)),
-             "output: y",
-             "params: " + " ".join(f"k{i}" for i in range(1, n + 1)),
-             "assume_nonzero: " + ", ".join(f"k{i}" for i in range(1, n + 1)),
-             "horizon: 0 10",
-             "dx1/dt = -k1*x1"]
-    lines += [f"dx{i}/dt = k{i - 1}*x{i - 1} - k{i}*x{i}" for i in range(2, n + 1)]
-    lines.append(f"y = x{n}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.fixture(scope="module")
 def reduced_bases(viral_rgb, lv_rgb):
     """Reduced bases of the viral and LV prolongations, of linear chains of
     2 to 4 states, and of random ideals (whose Buchberger output is neither
     minimal nor reduced)."""
     bases = [viral_rgb, lv_rgb]
-    bases += [derive_io_basis(parse_model(_chain_text(n))).gb for n in (2, 3, 4)]
+    bases += [derive_io_basis(parse_model(chain_text(n))).gb for n in (2, 3, 4)]
     bases += [reduce_basis(buchberger(gens, ring), ring)
               for ring, gens in _random_ideals(seed=5, count=15)]
     return bases
@@ -316,7 +278,7 @@ def test_viral_reduced_basis_shape(viral_model, viral_rgb):
     # seven elements; the eliminated-variable elements are linear with the
     # unidentifiability factor a5*a6 - a6 clearing their denominators
     assert len(viral_rgb) == 7
-    from paramvariety.extension import clear_denominators
+    from paramvariety.algebra import clear_denominators
     n = 4
     factor = {(0, 1, 1, 0): 1, (0, 0, 1, 0): -1}  # a5*a6 - a6
     state_elems = [g for g in viral_rgb.basis

@@ -256,6 +256,8 @@ def test_sample_free_param_validation(viral_io):
         sample_variety(cons, ["a6"], {"a6": (0, 1)}, 4)
     with pytest.raises(ValueError):
         sample_variety(cons, ["a4"], {"a4": (0, 1)}, 4)  # missing ranges
+    with pytest.raises(UsageError, match="'a5'"):  # reversed range
+        sample_variety(cons, ["a4"], {"a4": (0, 1), "a5": (1, 0), "a7": (0, 8)}, 4)
 
 
 
