@@ -23,12 +23,17 @@ dicts. ``Poly.derivative`` is the chain rule, a derivative along a vector
 field: the prolongation of ``model`` and the output push-forward of
 ``datalab`` are both such derivatives. ``dict_partial`` is the partial
 derivative of a term dict. ``ParamPoly.evaluate`` and ``ParamRat.evaluate``
-evaluate exactly at int/Fraction values and in floats at float values;
-``compile_poly``, the one numeric evaluator of a Poly, and ``terms_source``
-(the expression source that the generated RK4 kernel of ``datalab`` is
-built from) both read one compiled term list, ``compiled_terms``, so the
-float evaluation order is defined in one place. All values are immutable
-after construction, so they are safe to share between threads.
+evaluate exactly at int/Fraction values and in floats at float values.
+Repeated numeric evaluation compiles first: a compiled term list holds one
+``(coef, ((pos, e), ...))`` per term, and one evaluation loop,
+``_term_evaluator``, walks it. ``compile_poly`` (a Poly at fixed parameter
+values, over ``compiled_terms``) and ``ParamPoly.compiled`` (a parameter
+polynomial with float coefficients: the Newton sampler of ``variety``) both
+return that loop, and ``terms_source`` (the expression source that the
+generated RK4 kernel of ``datalab`` is built from) spells out its
+operations, so the float evaluation order is defined in one place. All
+values are immutable after construction, so they are safe to share between
+threads.
 
 One routine, ``_integer_primitive``, scales exact coefficients to integers:
 it multiplies term dicts by the one positive rational that makes every
@@ -364,6 +369,18 @@ class ParamPoly:
             total += m
         return total
 
+    def compiled(self):
+        """Float evaluator of this polynomial: ``_term_evaluator`` over its
+        compiled term list, ``(float(c), ((i, e), ...))`` per term in dict
+        order with the nonzero exponents in parameter order, built once.
+        At a float parameter vector it returns float(self.evaluate(values))
+        bit for bit: a float times an int or Fraction rounds the coefficient
+        as ``float(c)`` does, and a sum seeded with 0.0 instead of 0 has the
+        same value and sign of zero."""
+        return _term_evaluator(
+            [(float(c), tuple((i, e) for i, e in enumerate(exps) if e))
+             for exps, c in self.terms.items()])
+
     def primitive(self):
         """The positive rational multiple with integer coefficients of
         content 1, negated if its leading coefficient is negative."""
@@ -393,20 +410,25 @@ def _exact(value):
 
 def exact_divide(num, den):
     """Exact multivariate quotient num/den in the parameter ring, or None
-    when den does not divide num. Coefficients of the quotient may be
-    Fractions."""
+    when den does not divide num. A quotient coefficient is an int when the
+    leading coefficients divide in the integers, else a Fraction."""
     if den.is_zero:
         raise DivisionByZero("division of parameter polynomials by zero")
     if num.is_zero:
         return ParamPoly.zero(num.n)
     lm_d, lc_d = den.lead()
+    int_lc = isinstance(lc_d, int)
     rem = dict(num.terms)
     quot = {}
     while rem:
         lm_r = max(rem)
         if not expvec_divides(lm_d, lm_r):
             return None
-        c = Fraction(rem[lm_r]) / lc_d
+        r = rem[lm_r]
+        if int_lc and isinstance(r, int) and not r % lc_d:
+            c = r // lc_d
+        else:
+            c = Fraction(r) / lc_d
         delta = expvec_sub(lm_r, lm_d)
         quot[delta] = c
         dict_axpy(rem, -c, delta, den.terms)
@@ -960,9 +982,17 @@ def compile_poly(p, index, values, exact=False):
     does the same multiplications in the same order as a walk over the full
     exponent vector. With exact=True the coefficients are evaluated as
     Fractions, so Fraction inputs give the exact value."""
-    terms = compiled_terms(p, index, values, exact)
-    zero = Fraction(0) if exact else 0.0
+    return _term_evaluator(compiled_terms(p, index, values, exact),
+                          Fraction(0) if exact else 0.0)
 
+
+def _term_evaluator(terms, zero=0.0):
+    """The function of a value vector that evaluates a compiled term list:
+    the sum, seeded with zero, of the terms in list order, each its
+    coefficient times its factors in list order (the value itself for
+    exponent 1, the value ** e otherwise). It is the one numeric evaluation
+    loop of both layers: ``compile_poly`` (a Poly) and
+    ``ParamPoly.compiled`` (a ParamPoly) return it."""
     def ev(vals):
         total = zero
         for m, factors in terms:

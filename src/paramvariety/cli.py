@@ -320,9 +320,11 @@ def cmd_variety(args):
     return 0
 
 
-def _parse_ranges(text):
+def _parse_ranges(text, params):
     ranges = {}
     for name, value in _parse_assignments(text, "--ranges").items():
+        if name not in params:
+            raise UsageError(f"--ranges: unknown parameter {name!r}")
         lo, _, hi = value.partition(":")
         what = f"--ranges {name}"
         ranges[name] = (_number(lo, what), _number(hi, what))
@@ -332,10 +334,20 @@ def _parse_ranges(text):
 def _emit_samples(args, model, constraints, meta):
     if not args.ranges:
         raise UsageError("sampling needs --ranges name=lo:hi,...")
-    ranges = _parse_ranges(args.ranges)
+    ranges = _parse_ranges(args.ranges, model.params)
     free = [p.strip() for p in (args.free or "").split(",") if p.strip()]
-    result = sample_variety(constraints, free, ranges, args.samples)
     cparams = constraints.constraint_params()
+    axes = []
+    for pair in (args.axes or "").split(","):
+        pair = pair.strip()
+        if not pair:
+            continue
+        px, _, py = pair.partition(":")
+        if px not in cparams or py not in cparams:
+            raise UsageError(f"--axes pair {pair!r} must name constraint "
+                             f"parameters {cparams}")
+        axes.append((px, py))
+    result = sample_variety(constraints, free, ranges, args.samples)
     path = os.path.join(args.out, "samples.csv")
     with open(path, "w", encoding="utf-8") as fh:
         for line in meta:
@@ -345,14 +357,7 @@ def _emit_samples(args, model, constraints, meta):
         for pt in result.points:
             fh.write(",".join(f"{pt[p]:.10g}" for p in cparams) + "\n")
     print(f"wrote {path} ({len(result.points)} points, {result.skipped} skipped)")
-    for pair in (args.axes or "").split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
-        px, _, py = pair.partition(":")
-        if px not in cparams or py not in cparams:
-            raise UsageError(f"--axes pair {pair!r} must name constraint "
-                             f"parameters {cparams}")
+    for px, py in axes:
         svg_path = os.path.join(args.out, f"variety_{px}_{py}.svg")
         _write_svg(svg_path,
                    [pt[px] for pt in result.points],

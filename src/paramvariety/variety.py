@@ -7,6 +7,10 @@ give an exact linear system, solved by fraction-free (Bareiss) elimination;
 float data (measured, closed-form or finite-difference jets) are solved in
 floating point behind a condition-number gate. Data values entering the
 constraint polynomials are rationalized exactly (0.8512 -> 8512/10000).
+
+The sampler compiles its equations and their Jacobian once per call
+(``ParamPoly.compiled``), so a Newton step evaluates float term lists
+instead of walking exponent vectors in exact arithmetic.
 """
 
 import math
@@ -235,8 +239,8 @@ def sample_variety(constraints, free_params, ranges, n):
     solved parameter's range. Points that leave their declared range,
     violate a nonzero assumption, or fail to converge are skipped, with the
     count reported. n, the number of grid points asked for, must be an
-    integer of at least 1 and every range (lo, hi) must have lo <= hi;
-    anything else raises UsageError.
+    integer of at least 1, every range (lo, hi) must have lo <= hi and no
+    free parameter may be given twice; anything else raises UsageError.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise UsageError(f"sample count must be an integer of at least 1, "
@@ -247,6 +251,8 @@ def sample_variety(constraints, free_params, ranges, n):
         if p not in cparams:
             raise UsageError(f"free parameter {p!r} does not appear in the "
                              "constraint equations")
+        if free_params.count(p) > 1:
+            raise UsageError(f"free parameter {p!r} is given more than once")
     solved = tuple(p for p in cparams if p not in free_params)
     nontrivial = [eq for eq in constraints.equations if not eq.is_zero]
     for p in cparams:
@@ -258,23 +264,22 @@ def sample_variety(constraints, free_params, ranges, n):
 
     names = constraints.param_names
     name_idx = {p: i for i, p in enumerate(names)}
+    solved_idx = [name_idx[p] for p in solved]
     # row-normalize: rationalized data values can make the cleared integer
     # coefficients huge, and Newton convergence tests must stay in float range
-    row_scale = np.array([max(abs(float(c)) for c in eq.terms.values())
-                          for eq in nontrivial]) if nontrivial else np.ones(0)
+    row_scale = [max(abs(float(c)) for c in eq.terms.values()) for eq in nontrivial]
+    # compiled once per call; a row is divided by its scale after evaluation
+    eqs = [eq.compiled() for eq in nontrivial]
+    partials = [[ParamPoly(eq.n, dict_partial(eq.terms, i), _checked=True).compiled()
+                 for i in solved_idx] for eq in nontrivial]
+    jac_shape = (len(nontrivial), len(solved))
 
     def eval_eqs(full):
-        return np.array([eq.evaluate(full) for eq in nontrivial]) / row_scale
-
-    partials = [[ParamPoly(eq.n, dict_partial(eq.terms, name_idx[p]), _checked=True)
-                 for p in solved] for eq in nontrivial]
+        return np.array([f(full) / s for f, s in zip(eqs, row_scale)])
 
     def eval_jac(full):
-        jac = np.zeros((len(nontrivial), len(solved)))
-        for r, row in enumerate(partials):
-            for cidx, d in enumerate(row):
-                jac[r, cidx] = d.evaluate(full)
-        return jac / row_scale[:, None]
+        return np.array([[d(full) / s for d in row]
+                         for row, s in zip(partials, row_scale)]).reshape(jac_shape)
 
     if free_params:
         per_axis = max(1, round(n ** (1.0 / len(free_params))))
@@ -300,7 +305,7 @@ def sample_variety(constraints, free_params, ranges, n):
         for p in solved:
             lo, hi = ranges[p]
             full[name_idx[p]] = 0.5 * (lo + hi)
-        ok = _newton(full, solved, name_idx, eval_eqs, eval_jac)
+        ok = _newton(full, solved_idx, eval_eqs, eval_jac)
         if not ok:
             skipped += 1
             continue
@@ -315,11 +320,14 @@ def sample_variety(constraints, free_params, ranges, n):
     return SampleResult(points=points, skipped=skipped, free_params=free_params)
 
 
-def _newton(full, solved, name_idx, eval_eqs, eval_jac):
-    if not solved:
-        return float(np.linalg.norm(eval_eqs(full))) <= _NEWTON_TOL
+def _newton(full, solved_idx, eval_eqs, eval_jac):
+    """Damped Gauss-Newton on the solved positions of full, in place. The
+    norm is sqrt(r . r), the computation of np.linalg.norm on a 1-D float
+    array."""
     res = eval_eqs(full)
-    norm = float(np.linalg.norm(res))
+    norm = math.sqrt(res.dot(res))
+    if not solved_idx:
+        return norm <= _NEWTON_TOL
     for _ in range(_NEWTON_MAX_ITER):
         if norm <= _NEWTON_TOL:
             return True
@@ -328,16 +336,18 @@ def _newton(full, solved, name_idx, eval_eqs, eval_jac):
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         except np.linalg.LinAlgError:
             return False
+        # Python floats, not numpy scalars: the same IEEE operations, cheaper
+        steps = step.tolist()
         damp = 1.0
         for _ in range(30):
             trial = list(full)
-            for p, s in zip(solved, step):
-                trial[name_idx[p]] = full[name_idx[p]] + damp * s
+            for i, s in zip(solved_idx, steps):
+                trial[i] = full[i] + damp * s
             t_res = eval_eqs(trial)
-            t_norm = float(np.linalg.norm(t_res))
+            t_norm = math.sqrt(t_res.dot(t_res))
             if t_norm < norm or t_norm <= _NEWTON_TOL:
-                for p in solved:
-                    full[name_idx[p]] = trial[name_idx[p]]
+                for i in solved_idx:
+                    full[i] = trial[i]
                 res, norm = t_res, t_norm
                 break
             damp *= 0.5

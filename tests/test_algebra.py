@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from paramvariety.algebra import (
@@ -189,6 +191,88 @@ def test_exact_divide():
     q = exact_divide(num, den)
     assert q == pp(2, {(1, 0): 1, (0, 1): 1})
     assert exact_divide(den, num) is None
+
+
+def _ref_exact_divide(num, den):
+    """The former exact_divide: every quotient coefficient a Fraction."""
+    lm_d, lc_d = den.lead()
+    rem, quot = dict(num.terms), {}
+    while rem:
+        lm_r = max(rem)
+        if any(x > y for x, y in zip(lm_d, lm_r)):
+            return None
+        c = Fraction(rem[lm_r]) / lc_d
+        delta = expvec_sub(lm_r, lm_d)
+        quot[delta] = c
+        for m, b in den.terms.items():
+            k = tuple(x + y for x, y in zip(m, delta))
+            s = rem.get(k, 0) - c * b
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return ParamPoly(num.n, quot, _checked=True)
+
+
+def test_exact_divide_matches_fraction_reference():
+    # (2*a1) / (4*a1) = 1/2 stays a Fraction
+    assert exact_divide(pp(1, {(1,): 2}), pp(1, {(1,): 4})).terms == {(0,): Fraction(1, 2)}
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        kinds = ["int", "fraction", "whole", "mixed"]
+        den = _clearing_input(rng, n, rng.choice(kinds))
+        if rng.random() < 0.7:
+            num = _clearing_input(rng, n, rng.choice(kinds)) * den
+        else:
+            num = _clearing_input(rng, n, rng.choice(kinds))
+        got, want = exact_divide(num, den), _ref_exact_divide(num, den)
+        if want is None:
+            assert got is None
+            seen.add("none")
+            continue
+        assert got == want
+        assert (repr(list(_integer_primitive(got.terms)))
+                == repr(list(_integer_primitive(want.terms))))
+        if all(isinstance(c, int) for c in (*num.terms.values(), *den.terms.values())):
+            if all(isinstance(c, int) for c in got.terms.values()):
+                seen.add("int quotient")
+            else:
+                seen.add("fraction quotient of ints")
+    assert seen == {"none", "int quotient", "fraction quotient of ints"}
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_compiled_parampoly_matches_evaluate():
+    rng = random.Random(17)
+    coeffs = [lambda: rng.randint(-9, 9) or 1,
+              lambda: rng.choice([-1, 1]) * rng.randint(10 ** 20, 10 ** 40),
+              lambda: Fraction(rng.randint(-50, 50) or 1, rng.randint(2, 10 ** 12)),
+              lambda: Fraction(rng.randint(1, 10 ** 30), 3)]
+    values = [lambda: rng.uniform(-3.0, 3.0), lambda: 0.0, lambda: -0.0,
+              lambda: np.float64(rng.uniform(-3.0, 3.0)), lambda: float(rng.randint(-2, 2))]
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.choice([0, 1, 2, 3, 5])):
+            exps = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n))
+            terms[exps] = rng.choice(coeffs)()
+        p = ParamPoly(n, terms)
+        seen.add("zero" if p.is_zero else "constant" if p.is_constant else "general")
+        seen.update(f"e={e}" for exps in p.terms for e in exps if e)
+        f = p.compiled()
+        for _ in range(5):
+            x = [rng.choice(values)() for _ in range(n)]
+            want = float(p.evaluate(x))
+            got = f(x)
+            assert type(got) in (float, np.float64)
+            assert _same_float(got, want), (p, x, got, want)
+    assert {"zero", "constant", "general", "e=1", "e=2", "e=3"} <= seen
 
 
 # ---------------------------------------------------------------------------

@@ -254,17 +254,30 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
      "--free", "a4", *VIRAL_RANGES],
     ["sample", "--v", "0.8512,5.76", "--samples", "8", "--free", "a4",
      "--ranges", "a4=5.76:0,a5=0:1,a7=0:8"],
+    ["sample", "--v", "0.8512,5.76", "--samples", "4", "--free", "a4,a4",
+     *VIRAL_RANGES],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
         "missing-x0", "missing-ranges", "bad-v-count", "bad-v-value",
         "bad-axes", "zero-n-times", "closed-form-wrong-model",
         "negative-samples", "sample-without-samples", "variety-negative-samples",
-        "reversed-range"])
+        "reversed-range", "repeated-free"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--axes", "a4:a9", *VIRAL_RANGES],
+    ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8,zz=0:1"],
+], ids=["axes-not-a-parameter", "range-not-a-parameter"])
+def test_sample_names_checked_before_sampling(tmp_path, capsys, extra):
+    assert _run("sample", "--model", VIRAL, *VIRAL_SAMPLE, *extra,
+                "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_vanishing_x0_denominator_exits_usage(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from paramvariety.algebra import ParamPoly, dict_partial
 from paramvariety.datalab import DataSet, exact_viral_solution, make_dataset
 from paramvariety.errors import (
     IllConditioned,
@@ -11,6 +12,7 @@ from paramvariety.errors import (
     JetOrderMismatch,
     UsageError,
 )
+from paramvariety.ioeq import derive_io_basis
 from paramvariety.variety import (
     VarietyConstraints,
     build_linear_system,
@@ -250,6 +252,136 @@ def test_sample_partials_belong_to_their_call():
         assert out.points[0]["a1"] == pytest.approx(0.75, abs=1e-9)
 
 
+def _ref_sample_variety(constraints, free_params, ranges, n):
+    """The former sampler: every Newton step evaluates the equations and the
+    Jacobian entries through ParamPoly.evaluate and takes np.linalg.norm."""
+    cparams = constraints.constraint_params()
+    solved = tuple(p for p in cparams if p not in free_params)
+    nontrivial = [eq for eq in constraints.equations if not eq.is_zero]
+    names = constraints.param_names
+    name_idx = {p: i for i, p in enumerate(names)}
+    row_scale = np.array([max(abs(float(c)) for c in eq.terms.values())
+                          for eq in nontrivial]) if nontrivial else np.ones(0)
+
+    def eval_eqs(full):
+        return np.array([eq.evaluate(full) for eq in nontrivial]) / row_scale
+
+    partials = [[ParamPoly(eq.n, dict_partial(eq.terms, name_idx[p]), _checked=True)
+                 for p in solved] for eq in nontrivial]
+
+    def eval_jac(full):
+        jac = np.zeros((len(nontrivial), len(solved)))
+        for r, row in enumerate(partials):
+            for cidx, d in enumerate(row):
+                jac[r, cidx] = d.evaluate(full)
+        return jac / row_scale[:, None]
+
+    def newton(full):
+        if not solved:
+            return float(np.linalg.norm(eval_eqs(full))) <= 1e-10
+        res = eval_eqs(full)
+        norm = float(np.linalg.norm(res))
+        for _ in range(60):
+            if norm <= 1e-10:
+                return True
+            step, *_ = np.linalg.lstsq(eval_jac(full), -res, rcond=None)
+            damp = 1.0
+            for _ in range(30):
+                trial = list(full)
+                for p, s in zip(solved, step):
+                    trial[name_idx[p]] = full[name_idx[p]] + damp * s
+                t_res = eval_eqs(trial)
+                t_norm = float(np.linalg.norm(t_res))
+                if t_norm < norm or t_norm <= 1e-10:
+                    for p in solved:
+                        full[name_idx[p]] = trial[name_idx[p]]
+                    res, norm = t_res, t_norm
+                    break
+                damp *= 0.5
+            else:
+                return False
+        return norm <= 1e-10
+
+    if free_params:
+        per_axis = max(1, round(n ** (1.0 / len(free_params))))
+        axes = []
+        for p in free_params:
+            lo, hi = ranges[p]
+            width = hi - lo
+            axes.append(np.linspace(lo + 0.5 * width / per_axis,
+                                    hi - 0.5 * width / per_axis, per_axis))
+        grids = np.meshgrid(*axes, indexing="ij")
+        grid_points = np.column_stack([g.ravel() for g in grids])
+    else:
+        grid_points = np.zeros((1, 0))
+    points, skipped = [], 0
+    for gp in grid_points:
+        full = [1.0] * len(names)
+        for p, val in zip(free_params, gp):
+            full[name_idx[p]] = float(val)
+        for p in solved:
+            full[name_idx[p]] = 0.5 * (ranges[p][0] + ranges[p][1])
+        if not newton(full) or not all(
+                ranges[p][0] - 1e-9 <= full[name_idx[p]] <= ranges[p][1] + 1e-9
+                for p in cparams) or not all(
+                abs(a.evaluate(full)) > 1e-12 for a in constraints.assumptions):
+            skipped += 1
+            continue
+        points.append({p: float(full[name_idx[p]]) for p in cparams})
+    return points, skipped
+
+
+def _true_coefficients(basis, params):
+    return [float(c.evaluate([Fraction(params[p]) for p in basis.param_names]))
+            for c in basis.coeffs]
+
+
+def _spread(params, lo=0.3, hi=3.0):
+    return {p: tuple(sorted((lo * a, hi * a))) for p, a in params.items()}
+
+
+VIRAL_RANGES = {"a4": (0.0, 5.76), "a5": (0.0, 1.0), "a7": (0.0, 8.0)}
+LV_PARAMS = {"a1": "1", "a2": "0.5", "a3": "5", "a4": "1", "a5": "0.2", "a6": "2.4"}
+VIRUS_FULL_PARAMS = {"a1": "1525000", "a2": "0.01", "a3": "3e-7", "a4": "0.3",
+                     "a5": "0.9", "a6": "2", "a7": "5"}
+
+
+@pytest.mark.parametrize("case", ["viral-a4", "viral-a4-a5", "viral-skips", "lv-a3",
+                                  "virus_full-a1-a5", "decay"])
+def test_sampler_matches_evaluate_reference(case, viral_model, viral_io, lv_model,
+                                            lv_io, decay_model, decay_io,
+                                            virus_full_model):
+    if case.startswith("viral"):
+        model, basis, v = viral_model, viral_io, [0.8512, 5.76]
+        free, ranges, n = ["a4"], VIRAL_RANGES, 12
+        if case == "viral-a4-a5":
+            free, n = ["a4", "a5"], 16
+        elif case == "viral-skips":
+            # a7 = 5.76 - a4 leaves its range below a4 = 0.76
+            ranges = dict(VIRAL_RANGES, a7=(0.0, 5.0))
+    elif case == "lv-a3":
+        model, basis = lv_model, lv_io
+        v = _true_coefficients(basis, LV_PARAMS)
+        free, ranges, n = ["a3"], _spread({p: float(a) for p, a in LV_PARAMS.items()}), 6
+    elif case == "decay":
+        model, basis, v = decay_model, decay_io, [0.4]
+        free, ranges, n = [], {"a1": (-1.0, 1.0)}, 1
+    else:
+        model, basis = virus_full_model, derive_io_basis(virus_full_model)
+        v = _true_coefficients(basis, VIRUS_FULL_PARAMS)
+        free, n = ["a1", "a5"], 9
+        ranges = dict(_spread({p: float(a) for p, a in VIRUS_FULL_PARAMS.items()}),
+                      a5=(0.5, 0.99))
+    cons = variety_constraints(basis, v, assumptions=model.assume_nonzero)
+    got = sample_variety(cons, free, ranges, n)
+    points, skipped = _ref_sample_variety(cons, free, ranges, n)
+    assert repr(got.points) == repr(points)
+    assert got.skipped == skipped
+    # two free parameters over a curve: Newton cannot meet both equations
+    assert bool(points) == (case != "viral-a4-a5")
+    assert skipped or case not in ("viral-a4-a5", "viral-skips")
+
+
 def test_sample_free_param_validation(viral_io):
     cons = variety_constraints(viral_io, [0.8512, 5.76])
     with pytest.raises(ValueError):
@@ -258,6 +390,8 @@ def test_sample_free_param_validation(viral_io):
         sample_variety(cons, ["a4"], {"a4": (0, 1)}, 4)  # missing ranges
     with pytest.raises(UsageError, match="'a5'"):  # reversed range
         sample_variety(cons, ["a4"], {"a4": (0, 1), "a5": (1, 0), "a7": (0, 8)}, 4)
+    with pytest.raises(UsageError, match="'a4' is given more than once"):
+        sample_variety(cons, ["a4", "a4"], {"a4": (0, 5.76), "a5": (0, 1), "a7": (0, 8)}, 4)
 
 
 
