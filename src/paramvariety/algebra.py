@@ -454,11 +454,17 @@ class ParamRat:
 
     @classmethod
     def from_const(cls, n, value):
+        """The constant value, built canonical: a Fraction p/q is already in
+        lowest terms with q > 0, and an int v is v/1."""
         value = _exact(value)
+        if not value:
+            return cls.zero(n)
         if isinstance(value, Fraction):
-            return cls(ParamPoly.const(n, value.numerator),
-                       ParamPoly.const(n, value.denominator))
-        return cls(ParamPoly.const(n, value), _canonical=False)
+            num, den = value.numerator, value.denominator
+        else:
+            num, den = value, 1
+        return cls(ParamPoly.const(n, num), ParamPoly.const(n, den),
+                   _canonical=True)
 
     @classmethod
     def zero(cls, n):
@@ -552,9 +558,17 @@ class ParamRat:
                         ParamPoly(self.n, den, _checked=True), _canonical=True)
 
     def inv(self):
+        """den/num without renormalizing. In canonical form at most one
+        trial division of _normalize succeeded, and one side is constant
+        after it; otherwise both failed. So the swapped pair, with the sign
+        moved onto the new denominator's leading coefficient, is the
+        canonical form _normalize would build, term for term."""
         if self.is_zero:
             raise DivisionByZero("inversion of the zero rational function")
-        return ParamRat(self.den, self.num)
+        num, den = self.den, self.num
+        if den.lead()[1] < 0:
+            num, den = -num, -den
+        return ParamRat(num, den, _canonical=True)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()

@@ -8,12 +8,16 @@ points on a known variety. Artifacts embed the tool version, the seed, and
 input hashes; identical configuration and seed produce byte-identical
 files. Resource caps for the basis computation come from the environment
 (PARAMVARIETY_GB_MAX_PAIRS, PARAMVARIETY_GB_MAX_BASIS; positive integers).
+The derivation runs one Buchberger call per prolongation order, each
+extending the last order's basis, and the caps apply to each call: the pair
+cap to the pairs that call pops, the basis cap to the whole basis it holds.
 
 Exit codes: 0 success, 2 usage/parse, 3 numeric failure, 4 algebra resource
 cap, 5 internal invariant violation.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -457,7 +461,10 @@ def _write_svg(path, xs, ys, xlabel, ylabel, meta):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="paramvariety",
         description="Input-output equations and parameter varieties of "

@@ -80,14 +80,22 @@ def reduce_poly(p, basis):
     return poly_divide(p, basis)[1]
 
 
-def buchberger(gens, order=None, limits=None):
-    """Groebner basis of the ideal generated by a list of polynomials.
+def buchberger(gens, order=None, limits=None, seed=()):
+    """Groebner basis of the ideal generated by a list of polynomials and,
+    when given, a seed.
+
+    seed is a list of monic polynomials that already form a Groebner basis
+    over the same ring: it opens the basis, every pair among its elements
+    counts as processed, and only the pairs that involve a generator are
+    queued. The prolongation loop of ioeq seeds each order with the last
+    order's basis.
 
     Pending pairs wait in a heap of (lcm, i, j), so the pair popped next has
     the least lcm, ties broken by index (the normal selection strategy).
     Buchberger's coprimality and chain criteria drop pairs after they are
-    popped; max_pairs counts popped pairs. Raises ResourceExhausted with
-    progress information if a configured cap is hit.
+    popped; max_pairs counts popped pairs and max_basis counts the seed too.
+    Raises ResourceExhausted with progress information if a configured cap
+    is hit.
     """
     gens = list(gens)
     if not gens:
@@ -95,7 +103,10 @@ def buchberger(gens, order=None, limits=None):
     if order is None:
         order = gens[0].ring
     limits = limits or GBLimits.from_env()
-    basis = []
+    basis = list(seed)
+    n_seed = len(basis)
+    if any(g.ring != order for g in basis):
+        raise RingMismatch("seed lives in a different ring")
     for g in gens:
         if g.ring != order:
             raise RingMismatch("generator lives in a different ring")
@@ -107,13 +118,13 @@ def buchberger(gens, order=None, limits=None):
 
     lms = [g.leading_term()[0] for g in basis]
     pairs = []
-    done = set()
+    done = {(i, j) for j in range(n_seed) for i in range(j)}
 
     def add_pairs(j):
         for i in range(j):
             heappush(pairs, (expvec_lcm(lms[i], lms[j]), i, j))
 
-    for j in range(len(basis)):
+    for j in range(n_seed, len(basis)):
         add_pairs(j)
 
     processed = 0
@@ -180,7 +191,7 @@ def reduce_basis(gb, order=None):
 
 
 def elimination_subset(gb, keep):
-    """Elements of a reduced basis supported on the keep variables only.
+    """Elements of a Groebner basis supported on the keep variables only.
 
     keep must be a downward-closed suffix of the variable order; by the
     elimination theorem the result is a Groebner basis of the elimination

@@ -1,8 +1,10 @@
 """Derivation of the input-output equation basis.
 
-Iterates the prolongation order, computes the reduced Groebner basis, and
-extracts the unique state-free element, which is then normalized into the
-canonical split
+Iterates the prolongation order over one growing Groebner basis: each
+order's Buchberger run starts from the last order's basis and adds only the
+generators that order brings. The first order whose basis has a state-free
+element is reduced once, and the unique state-free element of the reduced
+basis is then normalized into the canonical split
 
     sum_l c_l(a) * f_l(y-jet, u-jet)  =  rhs(y-jet, u-jet)
 
@@ -69,18 +71,23 @@ class IOEquationBasis:
 def derive_io_basis(model):
     """Run the prolongation loop and return the normalized IO equation.
 
-    Loops i = 1, 2, ...: prolong, reduced basis, state-free subset; stops at
-    the first nonempty subset. The subset must stay empty below the minimal
-    order and must become nonempty by i = N (state count).
+    Loops i = 1, 2, ...: prolong, extend the order-(i - 1) Groebner basis,
+    carried over to the order-i ring, by the generators order i adds, and
+    look for a state-free element; stops at the first order L that has one.
+    The elimination theorem holds for any Groebner basis, so only order L
+    runs reduce_basis, and the reduced basis must hold exactly one
+    state-free element. L is at most N (state count).
     """
+    gb = []
     for i in range(1, model.nstates + 1):
         psys = prolong(model, i)
-        gb = buchberger(psys.gens, psys.ring)
-        rgb = reduce_basis(gb, psys.ring)
+        gb = buchberger(psys.new, psys.ring,
+                        seed=[g.rering(psys.ring) for g in gb])
         keep = [v for v in psys.ring.vars
                 if v.base == model.output or v.base in model.inputs]
-        subset = elimination_subset(rgb, keep)
-        if subset:
+        if elimination_subset(gb, keep):
+            rgb = reduce_basis(gb, psys.ring)
+            subset = elimination_subset(rgb, keep)
             if len(subset) > 1:
                 raise MultipleIOEquations(
                     f"{len(subset)} state-free elements at order {i}; the "

@@ -69,11 +69,18 @@ class ModelSpec:
 @dataclass(frozen=True)
 class ProlongedSystem:
     """Generators of the order-i truncation of the model's differential
-    ideal, over the lex jet ring."""
+    ideal, over the lex jet ring.
+
+    new holds the generators that order i adds to order i - 1, x^(i) -
+    d^(i-1) f per state and y^(i) - d^i g (at order 1, all of them). The
+    others are the order-(i - 1) generators, whose jet ring sits inside this
+    one in the same relative variable order: an order-(i - 1) Groebner basis
+    carried over is still a Groebner basis here."""
 
     order: int
     gens: tuple
     ring: MonomialOrder
+    new: tuple
 
 
 def _ring0(states, inputs):
@@ -419,9 +426,12 @@ def prolong(model, order):
             f_cur = [fi.derivative(velocity) for fi in f_cur]
         for s, fi in zip(model.states, f_cur):
             gens.append(Poly.var(ring, DiffVar(s, k), n) - fi)
+    new = gens[-model.nstates:]  # the order-i state block
     g_cur = model.g.rering(ring)
     gens.append(Poly.var(ring, DiffVar(model.output, 0), n) - g_cur)
     for k in range(1, order + 1):
         g_cur = g_cur.derivative(velocity)
         gens.append(Poly.var(ring, DiffVar(model.output, k), n) - g_cur)
-    return ProlongedSystem(order=order, gens=tuple(gens), ring=ring)
+    new = gens if order == 1 else new + gens[-1:]
+    return ProlongedSystem(order=order, gens=tuple(gens), ring=ring,
+                           new=tuple(new))

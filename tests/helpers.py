@@ -104,3 +104,21 @@ def derive_inputs():
     for n in (2, 3, 4, 5):
         texts[f"chain{n}"] = chain_text(n)
     return texts
+
+
+_INPUT_TEXT = """states: x1 x2
+inputs: u
+output: y
+params: a1 a2
+horizon: 0 1
+dx1/dt = -a1*x1 + u
+dx2/dt = a1*x1 - a2*x2
+y = x2
+"""
+
+
+def input_model_texts():
+    """A two-state chain driven by an input u, and the same chain with an
+    output that reads u too (its jet ring holds one more derivative of u)."""
+    return {"input": _INPUT_TEXT,
+            "output-reads-input": _INPUT_TEXT.replace("y = x2", "y = x2 + a2*u")}

@@ -25,7 +25,10 @@ from paramvariety.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
+from paramvariety.ioeq import derive_io_basis
+from paramvariety.model import load_model
 
+from .conftest import MODELS
 from .helpers import agens, pp, random_paramrat, random_poly, xy_ring
 
 
@@ -140,6 +143,32 @@ def test_scalar_product_matches_full_normalization():
                 assert repr(product) == expected
             checked += 1
     assert checked == 960 and param_den > 60
+
+
+def test_inv_and_from_const_match_full_normalization():
+    # inv swaps the canonical pair and from_const builds it directly; both
+    # must give the terms, and their dict order, of the full normalization
+    rats = []
+    for name in ("decay", "viral", "lotka_volterra", "virus_full"):
+        for g in derive_io_basis(load_model(MODELS / f"{name}.model")).gb:
+            rats += g.terms.values()
+    assert len(rats) > 100 and any(not r.den.is_constant for r in rats)
+    rng = random.Random(12)
+    for _ in range(200):
+        r = random_paramrat(rng, 3)
+        rats += [r, -r, r * rng.choice([2, -6, Fraction(5, 3)])]
+    for r in rats:
+        assert repr(r.inv()) == repr(ParamRat(r.den, r.num))
+    values = [0, 1, -1, Fraction(0), Fraction(7), "2.5", "-1/3"]
+    values += [rng.randint(-10**6, 10**6) for _ in range(50)]
+    values += [Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+               for _ in range(100)]
+    for v in values:
+        f = Fraction(v)
+        expected = ParamRat(ParamPoly.const(2, f.numerator),
+                            ParamPoly.const(2, f.denominator))
+        assert repr(ParamRat.from_const(2, v)) == repr(expected)
+    assert repr(ParamRat.from_const(2, 4)) == repr(ParamRat(ParamPoly.const(2, 4)))
 
 
 def test_trial_division_reduces():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from paramvariety.cli import main
+from paramvariety.cli import build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 VIRAL = str(MODELS / "viral.model")
@@ -215,6 +215,23 @@ def test_decay_pipeline(tmp_path):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+def test_main_twice_around_a_usage_error(tmp_path, capsys):
+    # the parser is built once per process: a usage error between two runs
+    # must leave it as it was
+    argv = ["variety", "--model", DECAY, "--params", "a1=-0.4",
+            "--x0", "x1=2.0", "--times", "0.5,1.5"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run(*argv, "--out", str(first)) == 0
+    assert _run(*argv, "--no-such-option", "--out", str(tmp_path)) == 2
+    assert _run(*argv, "--out", str(second)) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    assert "variety.txt" in names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert build_parser() is build_parser()
 
 
 VIRAL_GEN = ["--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",

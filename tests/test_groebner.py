@@ -16,6 +16,7 @@ from paramvariety.algebra import (
 from paramvariety.errors import (
     InvalidBlock,
     ResourceExhausted,
+    RingMismatch,
     UsageError,
     ZeroPolynomial,
 )
@@ -358,6 +359,25 @@ def test_reduced_basis_permutation_invariance():
             assert len(other) == len(ref)
             for a, b in zip(ref.basis, other.basis):
                 assert a == b
+
+
+def test_seed_extends_a_groebner_basis():
+    # a Groebner basis of some generators, extended by the rest, spans the
+    # ideal of all of them: the same reduced basis as one run over all
+    checked = 0
+    for ring, gens in _random_ideals(seed=5, count=15):
+        if len(gens) < 2:
+            continue
+        ref = reduce_basis(buchberger(gens, ring), ring)
+        seed = buchberger(gens[:-1], ring)
+        grown = buchberger(gens[-1:], ring, seed=seed)
+        assert grown[:len(seed)] == seed
+        assert [repr(g) for g in reduce_basis(grown, ring)] == [repr(g) for g in ref]
+        checked += 1
+    assert checked == 14
+    other = MonomialOrder([DiffVar("w", 0)])
+    with pytest.raises(RingMismatch):
+        buchberger(gens, ring, seed=[Poly.var(other, DiffVar("w", 0), 2)])
 
 
 def test_elimination_members_in_ideal():

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+import paramvariety.ioeq as ioeq
 from paramvariety.algebra import DiffVar, MonomialOrder, ParamRat, Poly, poly_divide
 from paramvariety.errors import NoParameterDependence
-from paramvariety.groebner import buchberger, reduce_basis
-from paramvariety.ioeq import normalize_io
-from paramvariety.model import prolong
+from paramvariety.groebner import buchberger, elimination_subset, reduce_basis
+from paramvariety.ioeq import derive_io_basis, normalize_io
+from paramvariety.model import parse_model, prolong
 
-from .helpers import pp
+from .helpers import derive_inputs, input_model_texts, pp
 
 
 def test_decay_io_equation(decay_io):
@@ -175,3 +176,51 @@ def test_render_golden(viral_io, decay_io):
     assert viral_io.render() == "(a4*a5*a7) * y + (a4 + a7) * y' = -y''"
     assert decay_io.render() == "(-a1) * y = -y'"
     assert viral_io.summary().startswith("L = 2\n")
+
+
+def _from_scratch(model):
+    """The prolongation loop with every order's basis computed and reduced
+    by itself: the minimal order and its reduced basis."""
+    for i in range(1, model.nstates + 1):
+        psys = prolong(model, i)
+        rgb = reduce_basis(buchberger(psys.gens, psys.ring), psys.ring)
+        keep = [v for v in psys.ring.vars
+                if v.base == model.output or v.base in model.inputs]
+        if elimination_subset(rgb, keep):
+            return i, rgb
+    raise AssertionError("no state-free element")
+
+
+def test_seeded_basis_matches_from_scratch():
+    texts = {**derive_inputs(), **input_model_texts()}
+    assert len(texts) == 16
+    for label, text in texts.items():
+        model = parse_model(text)
+        got = derive_io_basis(model)
+        L, ref = _from_scratch(model)
+        assert got.L == L, label
+        assert got.gb.order == ref.order, label
+        assert ([(repr(g), repr(g.terms)) for g in got.gb]
+                == [(repr(g), repr(g.terms)) for g in ref]), label
+
+
+def test_one_reduce_basis_per_derivation(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(ioeq, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("buchberger", "reduce_basis"):
+        monkeypatch.setattr(ioeq, name, counted(name))
+    texts = {**derive_inputs(), **input_model_texts()}
+    for label in ("decay", "viral", "virus_full", "chain5", "output-reads-input"):
+        calls.clear()
+        basis = ioeq.derive_io_basis(parse_model(texts[label]))
+        assert calls.count("buchberger") == basis.L, label
+        assert calls.count("reduce_basis") == 1, label
+        assert calls[-1] == "reduce_basis", label

@@ -13,7 +13,7 @@ from paramvariety.model import (
     total_derivative,
 )
 
-from .helpers import random_poly
+from .helpers import input_model_texts, random_poly
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +242,35 @@ def test_prolong_one_contains_output_equation(decay_model, viral_model):
         assert any(gen == y0 - g for gen in psys.gens)
 
 
-def test_prolong_nested(viral_model):
-    small = prolong(viral_model, 1)
-    big = prolong(viral_model, 2)
-    lifted = [g.rering(big.ring) for g in small.gens]
-    for g in lifted:
-        assert any(g == h for h in big.gens)
+def _nesting_models(models):
+    return list(models) + [parse_model(t) for t in input_model_texts().values()]
+
+
+def test_jet_ring_keeps_relative_order_across_orders(
+        viral_model, lv_model, decay_model, virus_full_model):
+    # the prolongation loop carries an order-i basis into the order-(i+1)
+    # ring, which is sound only if the variables keep their relative order
+    models = _nesting_models((viral_model, lv_model, decay_model, virus_full_model))
+    assert [m.output_uses_inputs() for m in models[-2:]] == [False, True]
+    for model in models:
+        for i in range(1, model.nstates + 2):
+            small = jet_ring(model, i).vars
+            big = jet_ring(model, i + 1).vars
+            assert [v for v in big if v in small] == list(small), (model.states, i)
+
+
+def test_prolong_nested(viral_model, lv_model, decay_model, virus_full_model):
+    # the order-i generators, carried over, are the order-(i+1) generators
+    # other than the ones it marks new
+    models = _nesting_models((viral_model, lv_model, decay_model, virus_full_model))
+    for model in models:
+        assert prolong(model, 1).new == prolong(model, 1).gens
+        for i in range(1, model.nstates + 1):
+            small, big = prolong(model, i), prolong(model, i + 1)
+            assert len(big.new) == model.nstates + 1
+            assert all(any(g is h for h in big.gens) for g in big.new)
+            old = [g for g in big.gens if not any(g is h for h in big.new)]
+            assert old == [g.rering(big.ring) for g in small.gens]
 
 
 def test_generators_vanish_on_trajectory(viral_model):
