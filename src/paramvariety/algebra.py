@@ -4,18 +4,39 @@ coefficient field.
 Two layers:
 
 * parameter layer: ``ParamPoly`` (exact integer/rational coefficients keyed
-  by parameter exponent vectors) and ``ParamRat`` = ParamPoly / ParamPoly,
+  by packed parameter monomials) and ``ParamRat`` = ParamPoly / ParamPoly,
   the coefficient-field elements;
 * differential layer: ``Poly``, sparse polynomials in derivative-tagged
   variables (``DiffVar``) under a pure lexicographic ``MonomialOrder``,
   with ParamRat coefficients.
 
-Both layers store a polynomial as a term dict: exponent tuples mapped to
+Both layers store a polynomial as a term dict: packed monomials mapped to
 nonzero coefficients. This module owns that format and the kernels over it
-(``expvec_*`` on exponent tuples, ``dict_*`` on term dicts). The arithmetic
-kernels need only ``+``, ``-``, ``*`` and truth testing of the coefficients,
-so ParamPoly (int/Fraction) and Poly (ParamRat) share them; the Groebner
-engine and the extension check import them from here.
+(``dict_*`` on term dicts, and the monomial operations below). The
+arithmetic kernels need only ``+``, ``-``, ``*`` and truth testing of the
+coefficients, so ParamPoly (int/Fraction) and Poly (ParamRat) share them;
+the Groebner engine and the extension check import them from here.
+
+Packed monomials (Monagan and Pearce, Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors, CASC 2007): a monomial is one
+non-negative int with one 16-bit field (``FIELD``) per variable, a 15-bit
+exponent under a guard bit. The highest-ranked variable has the top field:
+``ring.vars[0]`` of a MonomialOrder, the first declared parameter of a
+ParamPoly. So ints compare as the exponent tuples do under lex, and ``max``,
+``sorted`` and a heap order monomials as tuples would. The unit monomial is
+``0``; a product of monomials is ``a + b``, a quotient ``a - b``, and ``a``
+divides ``b`` exactly when ``a <= b`` and ``(b - a)`` has no guard bit set
+(a field that borrows sets its guard). lcm and min select fields through the
+guards of ``(a | guard) - b``; the OR of a polynomial's keys has a nonzero
+field exactly for the variables it uses. The guard mask ``_GUARD`` covers
+``MAX_VARS`` fields, and a ring or parameter list wider than that is
+refused when it is built. An exponent above ``MAX_EXP`` never wraps into
+the next field: a sum of two fields stays below 2^FIELD, so a product that
+reaches a guard bit is seen and raises ResourceExhausted (exit 4).
+
+``ParamPoly.terms`` and ``Poly.terms`` are views built on access: the same
+dict with each key unpacked to its exponent tuple, in term order. Inside
+the package every layer works on the packed dict, ``.packed``.
 
 Floating point is forbidden in the arithmetic; every operation is exact.
 This module is also the one place that differentiates and evaluates term
@@ -52,12 +73,15 @@ as the full normalization.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import index, or_
 from typing import NamedTuple
 
 from .errors import (
     DivisionByZero,
     InvalidBlock,
+    ResourceExhausted,
     RingMismatch,
     UnknownVariable,
     ZeroPolynomial,
@@ -79,34 +103,107 @@ class DiffVar(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+FIELD = 16                          # bits per variable: guard bit + exponent
+MAX_EXP = (1 << (FIELD - 1)) - 1    # the largest exponent a field holds
+MAX_VARS = 1024                     # the fields _GUARD covers
+_MASK = (1 << FIELD) - 1
+_GUARD = int.from_bytes(b"\x80\x00" * MAX_VARS, "big")
+
+
+def _overflow():
+    return ResourceExhausted(
+        f"exponent overflow: a monomial exponent exceeds {MAX_EXP}, the "
+        f"largest a {FIELD}-bit packed field holds")
+
+
+def field_guard(n):
+    """The guard bits of the n fields of an n-variable ring; a ring wider
+    than MAX_VARS raises ResourceExhausted."""
+    if n > MAX_VARS:
+        raise ResourceExhausted(
+            f"{n} variables: packed monomials hold at most {MAX_VARS}")
+    return _GUARD >> (FIELD * (MAX_VARS - n))
+
+
+def _field(e):
+    """An exponent as a field value: ValueError unless it is a non-negative
+    integer, ResourceExhausted above MAX_EXP."""
+    try:
+        value = index(e)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"bad exponent {e!r}: exponents must be non-negative integers")
+    if value > MAX_EXP:
+        raise _overflow()
+    return value
+
+
+def pack(exps):
+    """The packed monomial of an exponent sequence, first entry in the top
+    field."""
+    field_guard(len(exps))
+    key = 0
+    for e in exps:
+        key = key << FIELD | _field(e)
+    return key
+
+
+def unpack(key, n):
+    """The exponent tuple of a packed monomial over n variables."""
+    return tuple((key >> s) & _MASK for s in range(FIELD * (n - 1), -1, -FIELD))
+
+
+def exponents(key, n):
+    """(i, e) for each nonzero exponent e of a packed monomial over n
+    variables, i its variable's position, in variable order. Walks only the
+    nonzero fields, from the top."""
+    out = []
+    while key:
+        f = (key.bit_length() - 1) // FIELD
+        e = key >> (FIELD * f)
+        out.append((n - 1 - f, e))
+        key -= e << (FIELD * f)
+    return out
+
+
+def support(keys):
+    """The OR of packed monomials: nonzero in a field exactly when some
+    monomial has that variable."""
+    return reduce(or_, keys, 0)
+
+
+def divides(a, b):
+    """True when the monomial a divides b."""
+    return a <= b and not (b - a) & _GUARD
+
+
+def _greater_fields(a, b, guard):
+    """The exponent bits of the fields where a's exponent is at least b's;
+    guard covers every field of a and b."""
+    s = ((a | guard) - b) & guard
+    return s - (s >> (FIELD - 1))
+
+
+def mono_lcm(a, b, guard):
+    """The least common multiple of two monomials over the fields of guard."""
+    return b ^ ((a ^ b) & _greater_fields(a, b, guard))
+
+
+def mono_min(a, b, guard):
+    """The greatest common divisor of two monomials over the fields of
+    guard."""
+    return a ^ ((a ^ b) & _greater_fields(a, b, guard))
+
+
+# ---------------------------------------------------------------------------
 # term-dict kernels
 # ---------------------------------------------------------------------------
-# Exponent vectors are tuples of non-negative ints; a term dict maps them to
-# nonzero coefficients and never stores a zero.
-
-def expvec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def expvec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def expvec_divides(a, b):
-    """True when x^a divides x^b (componentwise a <= b)."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def expvec_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def expvec_min(a, b):
-    return tuple(x if x <= y else y for x, y in zip(a, b))
-
+# A term dict maps packed monomials to nonzero coefficients and never stores
+# a zero. The kernels that add monomials check each new key's guard bits.
 
 def dict_add(A, B):
     out = dict(A)
@@ -156,7 +253,9 @@ def dict_mul(A, B):
     out = {}
     for ka, va in A.items():
         for kb, vb in B.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = ka + kb
+            if k & _GUARD:
+                raise _overflow()
             s = out.get(k)
             if s is None:
                 out[k] = va * vb
@@ -171,13 +270,21 @@ def dict_mul(A, B):
 
 def dict_term_mul(A, c, m):
     """c * x^m * A with c nonzero."""
-    return {tuple(x + y for x, y in zip(k, m)): v * c for k, v in A.items()}
+    out = {}
+    for k, v in A.items():
+        k += m
+        if k & _GUARD:
+            raise _overflow()
+        out[k] = v * c
+    return out
 
 
 def dict_axpy(P, c, m, B):
     """In-place P += c * x^m * B; returns P. c must be nonzero."""
     for k, v in B.items():
-        key = tuple(x + y for x, y in zip(k, m))
+        key = k + m
+        if key & _GUARD:
+            raise _overflow()
         s = P.get(key)
         if s is None:
             P[key] = c * v
@@ -190,10 +297,12 @@ def dict_axpy(P, c, m, B):
     return P
 
 
-def dict_partial(A, i):
-    """Partial derivative in the i-th variable. Lowering one positive
+def dict_partial(A, i, n):
+    """Partial derivative in the i-th of n variables. Lowering one positive
     exponent maps distinct monomials to distinct ones, so no terms collide."""
-    return {k[:i] + (k[i] - 1,) + k[i + 1:]: v * k[i] for k, v in A.items() if k[i]}
+    shift = FIELD * (n - 1 - i)
+    unit = 1 << shift
+    return {k - unit: v * e for k, v in A.items() if (e := (k >> shift) & _MASK)}
 
 
 def _integer_primitive(*term_dicts):
@@ -225,29 +334,37 @@ def _integer_primitive(*term_dicts):
 class ParamPoly:
     """Sparse polynomial in the model parameters with exact coefficients.
 
-    ``terms`` maps exponent tuples (length = number of parameters) to
-    nonzero int/Fraction coefficients. Instances are treated as immutable.
+    ``packed`` maps packed monomials (n fields, the first parameter on top)
+    to nonzero int/Fraction coefficients; the constructor takes exponent
+    tuples of length n, and ``terms`` is the exponent-tuple view. Instances
+    are treated as immutable.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "packed")
 
     def __init__(self, n, terms=None, _checked=False):
         self.n = n
         if terms is None:
-            self.terms = {}
+            self.packed = {}
         elif _checked:
-            self.terms = terms
+            self.packed = terms
         else:
             clean = {}
             for exps, c in terms.items():
                 exps = tuple(exps)
-                if len(exps) != n or any(e < 0 for e in exps):
+                if len(exps) != n:
                     raise ValueError(f"bad exponent vector {exps!r} for {n} parameters")
+                key = pack(exps)
                 if c:
-                    clean[exps] = clean.get(exps, 0) + c
-                    if not clean[exps]:
-                        del clean[exps]
-            self.terms = clean
+                    clean[key] = clean.get(key, 0) + c
+                    if not clean[key]:
+                        del clean[key]
+            self.packed = clean
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient} in term order, built on access."""
+        return {unpack(k, self.n): c for k, c in self.packed.items()}
 
     # -- constructors
 
@@ -260,40 +377,41 @@ class ParamPoly:
         value = _exact(value)
         if not value:
             return cls.zero(n)
-        return cls(n, {(0,) * n: value}, _checked=True)
+        return cls(n, {0: value}, _checked=True)
 
     @classmethod
     def gen(cls, n, i, power=1):
         exps = [0] * n
         exps[i] = power
-        return cls(n, {tuple(exps): 1}, _checked=True)
+        return cls(n, {pack(exps): 1}, _checked=True)
 
     # -- predicates
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     @property
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
+        t = self.packed
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self):
         if self.is_zero:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(next(iter(self.packed.values())))
 
     # -- structure
 
     def lead(self):
-        """(exponent vector, coefficient) of the lexicographically largest
+        """(packed monomial, coefficient) of the lexicographically largest
         monomial in parameter-declaration order."""
-        if not self.terms:
+        if not self.packed:
             raise ZeroPolynomial("zero parameter polynomial has no leading term")
-        m = max(self.terms)
-        return m, self.terms[m]
+        m = max(self.packed)
+        return m, self.packed[m]
 
     # -- arithmetic
 
@@ -306,26 +424,26 @@ class ParamPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return ParamPoly(self.n, dict_add(self.terms, other.terms), _checked=True)
+        return ParamPoly(self.n, dict_add(self.packed, other.packed), _checked=True)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return ParamPoly(self.n, dict_sub(self.terms, other.terms), _checked=True)
+        return ParamPoly(self.n, dict_sub(self.packed, other.packed), _checked=True)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return ParamPoly(self.n, dict_neg(self.terms), _checked=True)
+        return ParamPoly(self.n, dict_neg(self.packed), _checked=True)
 
     def __mul__(self, other):
         if isinstance(other, ParamPoly):
             if other.n != self.n:
                 raise RingMismatch("parameter counts differ")
-            return ParamPoly(self.n, dict_mul(self.terms, other.terms), _checked=True)
-        return ParamPoly(self.n, dict_scale(self.terms, _exact(other)), _checked=True)
+            return ParamPoly(self.n, dict_mul(self.packed, other.packed), _checked=True)
+        return ParamPoly(self.n, dict_scale(self.packed, _exact(other)), _checked=True)
 
     __rmul__ = __mul__
 
@@ -343,7 +461,7 @@ class ParamPoly:
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self.packed == other.packed
         if isinstance(other, (int, Fraction)):
             return self == ParamPoly.const(self.n, other)
         return NotImplemented
@@ -351,7 +469,7 @@ class ParamPoly:
     __hash__ = None
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     # -- evaluation / rendering
 
@@ -360,39 +478,40 @@ class ParamPoly:
         in the arithmetic of the values: exact at ints and Fractions; a
         float value turns the coefficient it meets into a float, so float
         values give the terms and the sum of a float evaluation."""
+        n = self.n
         total = 0
-        for exps, c in self.terms.items():
+        for key, c in self.packed.items():
             m = c
-            for i, e in enumerate(exps):
-                if e:
-                    m *= values[i] ** e
+            for i, e in exponents(key, n):
+                m *= values[i] ** e
             total += m
         return total
 
     def compiled(self):
         """Float evaluator of this polynomial: ``_term_evaluator`` over its
         compiled term list, ``(float(c), ((i, e), ...))`` per term in dict
-        order with the nonzero exponents in parameter order, built once.
+        order with the nonzero exponents in parameter order (``exponents``),
+        built once.
         At a float parameter vector it returns float(self.evaluate(values))
         bit for bit: a float times an int or Fraction rounds the coefficient
         as ``float(c)`` does, and a sum seeded with 0.0 instead of 0 has the
         same value and sign of zero."""
+        n = self.n
         return _term_evaluator(
-            [(float(c), tuple((i, e) for i, e in enumerate(exps) if e))
-             for exps, c in self.terms.items()])
+            [(float(c), tuple(exponents(key, n))) for key, c in self.packed.items()])
 
     def primitive(self):
         """The positive rational multiple with integer coefficients of
         content 1, negated if its leading coefficient is negative."""
         if self.is_zero:
             return self
-        terms, = _integer_primitive(self.terms)
+        terms, = _integer_primitive(self.packed)
         if terms[max(terms)] < 0:
             terms = dict_neg(terms)
         return ParamPoly(self.n, terms, _checked=True)
 
     def render(self, names):
-        return _render_terms(self.terms, names)
+        return _render_terms(self.packed, self.n, names)
 
     def __repr__(self):
         return f"ParamPoly({self.terms!r})"
@@ -418,20 +537,20 @@ def exact_divide(num, den):
         return ParamPoly.zero(num.n)
     lm_d, lc_d = den.lead()
     int_lc = isinstance(lc_d, int)
-    rem = dict(num.terms)
+    rem = dict(num.packed)
     quot = {}
     while rem:
         lm_r = max(rem)
-        if not expvec_divides(lm_d, lm_r):
+        if not divides(lm_d, lm_r):
             return None
         r = rem[lm_r]
         if int_lc and isinstance(r, int) and not r % lc_d:
             c = r // lc_d
         else:
             c = Fraction(r) / lc_d
-        delta = expvec_sub(lm_r, lm_d)
+        delta = lm_r - lm_d
         quot[delta] = c
-        dict_axpy(rem, -c, delta, den.terms)
+        dict_axpy(rem, -c, delta, den.packed)
     return ParamPoly(num.n, quot, _checked=True)
 
 
@@ -513,7 +632,7 @@ class ParamRat:
             return other
         if other.is_zero:
             return self
-        if self.den.terms == other.den.terms:
+        if self.den.packed == other.den.packed:
             return ParamRat(self.num + other.num, self.den)
         return ParamRat(self.num * other.den + other.num * self.den,
                         self.den * other.den)
@@ -552,8 +671,8 @@ class ParamRat:
         p, q = c.num.lead()[1], c.den.lead()[1]
         if p == q:
             return self
-        num, den = _integer_primitive({k: v * p for k, v in self.num.terms.items()},
-                                      {k: v * q for k, v in self.den.terms.items()})
+        num, den = _integer_primitive({k: v * p for k, v in self.num.packed.items()},
+                                      {k: v * q for k, v in self.den.packed.items()})
         return ParamRat(ParamPoly(self.n, num, _checked=True),
                         ParamPoly(self.n, den, _checked=True), _canonical=True)
 
@@ -606,10 +725,11 @@ class ParamRat:
         return num / den
 
     def render(self, names):
-        num = _render_terms(self.num.terms, names)
+        n = self.n
+        num = _render_terms(self.num.packed, n, names)
         if self.den.is_constant and self.den.constant_value() == 1:
             return num
-        return f"({num})/({_render_terms(self.den.terms, names)})"
+        return f"({num})/({_render_terms(self.den.packed, n, names)})"
 
     def __repr__(self):
         return f"ParamRat({self.num.terms!r}, {self.den.terms!r})"
@@ -619,9 +739,9 @@ def _rescale_pair(num, den):
     """Scale num/den jointly (preserving the quotient) to integer
     coefficients of joint content 1 and divide out their common monomial
     factor."""
-    a, b = _integer_primitive(num.terms, den.terms)
-    shift = _common_monomial(a, b)
-    if any(shift):
+    a, b = _integer_primitive(num.packed, den.packed)
+    shift = _common_monomial(a, b, num.n)
+    if shift:
         a, b = _shift_down(a, shift), _shift_down(b, shift)
     return ParamPoly(num.n, a, _checked=True), ParamPoly(num.n, b, _checked=True)
 
@@ -649,34 +769,40 @@ def _normalize(num, den):
     return num, den
 
 
-def _common_monomial(a, b):
+def _common_monomial(a, b, n):
+    """The greatest monomial dividing every key of the term dicts a and b
+    over n parameters."""
+    if 0 in a or 0 in b:
+        return 0
+    guard = field_guard(n)
     m = None
     for terms in (a, b):
-        for exps in terms:
-            m = exps if m is None else expvec_min(m, exps)
-            if not any(m):
-                return m
+        for key in terms:
+            m = key if m is None else mono_min(m, key, guard)
+            if not m:
+                return 0
     return m
 
 
 def _shift_down(terms, shift):
-    return {expvec_sub(exps, shift): c for exps, c in terms.items()}
+    return {key - shift: c for key, c in terms.items()}
 
 
-def render_monomial(exps, names):
-    """The factors name^e of the nonzero exponents joined by '*' (name
-    alone for e = 1); the empty string for the unit monomial."""
+def render_monomial(key, n, names):
+    """The factors name^e of the nonzero exponents of a packed monomial
+    over n variables joined by '*' (name alone for e = 1); the empty string
+    for the unit monomial."""
     return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
-                    for i, e in enumerate(exps) if e)
+                    for i, e in exponents(key, n))
 
 
-def _render_terms(terms, names):
+def _render_terms(terms, n, names):
     if not terms:
         return "0"
     parts = []
-    for exps in sorted(terms, reverse=True):
-        c = terms[exps]
-        mono = render_monomial(exps, names)
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        mono = render_monomial(key, n, names)
         c = Fraction(c)
         if not mono:
             body = str(c) if c > 0 else str(-c)
@@ -697,16 +823,20 @@ def _render_terms(terms, names):
 
 class MonomialOrder:
     """Pure lexicographic order given by an ordered variable list (highest
-    first), so monomials compare as their exponent tuples do. Also serves as
-    the ambient ring description for Poly."""
+    first), so packed monomials compare as their exponent tuples do. Also
+    serves as the ambient ring description for Poly: shifts[i] is the low
+    bit of variable i's field and guard the guard bits of all its fields."""
 
-    __slots__ = ("vars", "index")
+    __slots__ = ("vars", "index", "shifts", "guard")
 
     def __init__(self, vars):
         self.vars = tuple(vars)
         self.index = {v: i for i, v in enumerate(self.vars)}
         if len(self.index) != len(self.vars):
             raise ValueError("duplicate variable in monomial order")
+        n = len(self.vars)
+        self.guard = field_guard(n)
+        self.shifts = tuple(FIELD * (n - 1 - i) for i in range(n))
 
     def __len__(self):
         return len(self.vars)
@@ -735,6 +865,22 @@ class MonomialOrder:
             exps[i] = e
         return tuple(exps)
 
+    def pack(self, mono):
+        """The packed monomial of a DiffVar->exponent mapping or an aligned
+        exponent tuple; a negative or non-integer exponent raises
+        ValueError."""
+        return pack(self.exps(mono))
+
+    def unpack(self, key):
+        return unpack(key, len(self.vars))
+
+    def split(self, key, var):
+        """(e, rest): the exponent of var in a packed monomial and the
+        monomial with that exponent zeroed."""
+        shift = self.shifts[self.index[var]]
+        e = (key >> shift) & _MASK
+        return e, key - (e << shift)
+
     def suffix_start(self, keep):
         """Index k such that keep == vars[k:], else InvalidBlock."""
         keep = set(keep)
@@ -750,10 +896,12 @@ class MonomialOrder:
 class Poly:
     """Sparse polynomial in DiffVars over ParamRat coefficients.
 
-    terms maps ring-aligned exponent tuples to nonzero ParamRat values.
+    packed maps the ring's packed monomials to nonzero ParamRat values; the
+    constructor takes ring-aligned exponent tuples or DiffVar->exponent
+    mappings, and ``terms`` is the exponent-tuple view.
     """
 
-    __slots__ = ("ring", "n", "terms")
+    __slots__ = ("ring", "n", "packed")
 
     def __init__(self, ring, terms=None, n=None, _checked=False):
         self.ring = ring
@@ -766,21 +914,26 @@ class Poly:
                                  "coefficient is present")
             self.n = rats[0].n
         if _checked:
-            self.terms = terms or {}
+            self.packed = terms or {}
             return
         clean = {}
         for mono, c in (terms or {}).items():
-            exps = ring.exps(mono)
+            key = ring.pack(mono)
             if not isinstance(c, ParamRat):
                 c = ParamRat.from_const(self.n, c)
             if not c.is_zero:
-                prev = clean.get(exps)
+                prev = clean.get(key)
                 c = c if prev is None else prev + c
                 if c.is_zero:
-                    del clean[exps]
+                    del clean[key]
                 else:
-                    clean[exps] = c
-        self.terms = clean
+                    clean[key] = c
+        self.packed = clean
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient} in term order, built on access."""
+        return {self.ring.unpack(k): c for k, c in self.packed.items()}
 
     # -- constructors
 
@@ -794,51 +947,45 @@ class Poly:
             raise TypeError("constant coefficient must be a ParamRat")
         if coeff.is_zero:
             return cls.zero(ring, coeff.n)
-        unit = (0,) * len(ring.vars)
-        return cls(ring, {unit: coeff}, n=coeff.n, _checked=True)
+        return cls(ring, {0: coeff}, n=coeff.n, _checked=True)
 
     @classmethod
     def var(cls, ring, v, n, power=1):
         i = ring.index.get(v)
         if i is None:
             raise UnknownVariable(f"variable {v} not in the monomial order")
-        exps = [0] * len(ring.vars)
-        exps[i] = power
-        return cls(ring, {tuple(exps): ParamRat.one(n)}, n=n, _checked=True)
+        return cls(ring, {_field(power) << ring.shifts[i]: ParamRat.one(n)}, n=n,
+                   _checked=True)
 
     # -- predicates / structure
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def leading_term(self):
-        """(leading monomial exponent tuple, coefficient) under the ring's
-        lex order."""
-        if not self.terms:
+        """(leading packed monomial, coefficient) under the ring's lex
+        order."""
+        if not self.packed:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        m = max(self.terms)
-        return m, self.terms[m]
+        m = max(self.packed)
+        return m, self.packed[m]
 
     def support_vars(self):
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(self.ring.vars[i])
-        return used
+        ring_vars = self.ring.vars
+        return {ring_vars[i] for i, _ in exponents(support(self.packed), len(ring_vars))}
 
     def uses_only(self, allowed):
         allowed = set(allowed)
         return all(v in allowed for v in self.support_vars())
 
     def degree_in(self, var):
-        i = self.ring.index[var]
-        return max((exps[i] for exps in self.terms), default=0)
+        shift = self.ring.shifts[self.ring.index[var]]
+        return max(((k >> shift) & _MASK for k in self.packed), default=0)
 
     def terms_sorted(self):
-        """(exponents, coefficient) pairs, leading monomial first."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
+        """(packed monomial, coefficient) pairs, leading monomial first."""
+        return [(m, self.packed[m]) for m in sorted(self.packed, reverse=True)]
 
     # -- arithmetic
 
@@ -850,7 +997,7 @@ class Poly:
         if isinstance(other, (ParamRat, int, Fraction)):
             other = Poly.const(self.ring, self._rat(other))
         self._check(other)
-        return Poly(self.ring, dict_add(self.terms, other.terms), n=self.n,
+        return Poly(self.ring, dict_add(self.packed, other.packed), n=self.n,
                     _checked=True)
 
     __radd__ = __add__
@@ -859,7 +1006,7 @@ class Poly:
         return self + (-other if isinstance(other, Poly) else -self._rat(other))
 
     def __neg__(self):
-        return Poly(self.ring, dict_neg(self.terms), n=self.n, _checked=True)
+        return Poly(self.ring, dict_neg(self.packed), n=self.n, _checked=True)
 
     def _rat(self, value):
         if isinstance(value, ParamRat):
@@ -870,19 +1017,19 @@ class Poly:
         if isinstance(other, (ParamRat, int, Fraction)):
             return self.scale(self._rat(other))
         self._check(other)
-        return Poly(self.ring, dict_mul(self.terms, other.terms), n=self.n,
+        return Poly(self.ring, dict_mul(self.packed, other.packed), n=self.n,
                     _checked=True)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return Poly(self.ring, dict_scale(self.terms, c), n=self.n, _checked=True)
+        return Poly(self.ring, dict_scale(self.packed, c), n=self.n, _checked=True)
 
     def mul_term(self, c, delta):
-        """c * x^delta * self for a ParamRat c and exponent tuple delta."""
+        """c * x^delta * self for a ParamRat c and packed monomial delta."""
         if c.is_zero:
             return Poly.zero(self.ring, self.n)
-        return Poly(self.ring, dict_term_mul(self.terms, c, delta), n=self.n,
+        return Poly(self.ring, dict_term_mul(self.packed, c, delta), n=self.n,
                     _checked=True)
 
     def __pow__(self, k):
@@ -904,8 +1051,8 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.ring == other.ring and self.terms.keys() == other.terms.keys()
-                and all(c == other.terms[m] for m, c in self.terms.items()))
+        return (self.ring == other.ring and self.packed.keys() == other.packed.keys()
+                and all(c == other.packed[m] for m, c in self.packed.items()))
 
     __hash__ = None
 
@@ -917,22 +1064,32 @@ class Poly:
         variable to a Poly over this ring and a variable it omits is
         constant. Terms are walked in dict order and, within a term, the
         variables in ring order, which fixes the term order of the result."""
-        ring_vars = self.ring.vars
+        ring_vars, shifts = self.ring.vars, self.ring.shifts
+        n = len(ring_vars)
         out = {}
-        for exps, c in self.terms.items():
-            for i, e in enumerate(exps):
-                if e and ring_vars[i] in velocity:
-                    dict_axpy(out, c * e, exps[:i] + (e - 1,) + exps[i + 1:],
-                              velocity[ring_vars[i]].terms)
+        for key, c in self.packed.items():
+            for i, e in exponents(key, n):
+                v = ring_vars[i]
+                if v in velocity:
+                    dict_axpy(out, c * e, key - (1 << shifts[i]), velocity[v].packed)
         return Poly(self.ring, out, n=self.n, _checked=True)
 
     def rering(self, new_ring):
         """Rebuild over another variable order; raises UnknownVariable if a
         variable with nonzero exponent is missing from the target."""
+        ring_vars = self.ring.vars
+        n = len(ring_vars)
+        shifts = [new_ring.shifts[new_ring.index[v]] if v in new_ring else None
+                  for v in ring_vars]
         terms = {}
-        for exps, c in self.terms.items():
-            mono = {self.ring.vars[i]: e for i, e in enumerate(exps) if e}
-            terms[new_ring.exps(mono)] = c
+        for key, c in self.packed.items():
+            new = 0
+            for i, e in exponents(key, n):
+                if shifts[i] is None:
+                    raise UnknownVariable(
+                        f"variable {ring_vars[i]} not in the monomial order")
+                new |= e << shifts[i]
+            terms[new] = c
         return Poly(new_ring, terms, n=self.n, _checked=True)
 
     # -- evaluation / rendering
@@ -945,12 +1102,13 @@ class Poly:
         return compile_poly(self, identity, param_values)(var_values)
 
     def render(self, names):
-        if not self.terms:
+        if not self.packed:
             return "0"
         var_names = [str(v) for v in self.ring.vars]
+        n = len(var_names)
         parts = []
-        for exps, c in self.terms_sorted():
-            mono = render_monomial(exps, var_names)
+        for key, c in self.terms_sorted():
+            mono = render_monomial(key, n, var_names)
             cs = c.render(names)
             negated = False
             if cs == "1" and mono:
@@ -981,10 +1139,11 @@ def compiled_terms(p, index, values, exact=False):
     coefficients are Fractions with exact=True (values must then be ints or
     Fractions) and floats otherwise."""
     ring_vars = p.ring.vars
+    n = len(ring_vars)
     conv = Fraction if exact else float
     return [(conv(c.evaluate(values)),
-             tuple((index[ring_vars[i]], e) for i, e in enumerate(exps) if e))
-            for exps, c in p.terms.items()]
+             tuple((index[ring_vars[i]], e) for i, e in exponents(key, n)))
+            for key, c in p.packed.items()]
 
 
 def compile_poly(p, index, values, exact=False):
@@ -1051,16 +1210,16 @@ def poly_divide(f, divisors):
     # receives every delta at most once
     quots = [{} for _ in divisors]
     rem = {}
-    work = dict(f.terms)
+    work = dict(f.packed)
     while work:
         mono = max(work)
         coeff = work[mono]
         for i, (lm, lc) in enumerate(lead):
-            if expvec_divides(lm, mono):
+            if divides(lm, mono):
+                delta = mono - lm
                 q = coeff if lc.is_one else coeff / lc
-                delta = expvec_sub(mono, lm)
                 quots[i][delta] = q
-                dict_axpy(work, -q, delta, divisors[i].terms)
+                dict_axpy(work, -q, delta, divisors[i].packed)
                 break
         else:
             rem[mono] = coeff
@@ -1073,8 +1232,8 @@ def clear_denominators(poly):
     """Multiply a Poly through by a common denominator of its coefficients
     and then by _integer_primitive's positive rational, so every coefficient
     becomes an integer ParamPoly, their joint content is 1, and the leading
-    term's leading parameter coefficient is positive. Returns {monomial
-    exponents: ParamPoly} in the Poly's term order.
+    term's leading parameter coefficient is positive. Returns {packed
+    monomial: ParamPoly} in the Poly's term order.
 
     The denominators are taken leading term first, so equal polynomials
     clear alike whatever their term order. One that the common denominator
@@ -1090,12 +1249,12 @@ def clear_denominators(poly):
         else:
             common = common * c.den
     cleared = []
-    for c in poly.terms.values():
+    for c in poly.packed.values():
         q = exact_divide(c.num * common, c.den)
         if q is None:  # cannot happen: den divides common by construction
             raise ArithmeticError("denominator failed to clear")
-        cleared.append(q.terms)
-    cleared = dict(zip(poly.terms, _integer_primitive(*cleared)))
+        cleared.append(q.packed)
+    cleared = dict(zip(poly.packed, _integer_primitive(*cleared)))
     lead = cleared[max(cleared)]
     if lead[max(lead)] < 0:
         cleared = {m: dict_neg(t) for m, t in cleared.items()}

@@ -26,7 +26,7 @@ import random
 import sys
 
 from . import __version__
-from .algebra import ParamRat, Poly
+from .algebra import ParamRat, Poly, exponents
 from .datalab import check_assumptions, make_dataset, read_dataset, write_dataset
 from .errors import (
     EXIT_USAGE,
@@ -84,7 +84,7 @@ def _eval_param_expr(state, text, model, params):
     symbols = {p: (lambda i=i: Poly.const(ring, ParamRat.gen(n, i)))
                for i, p in enumerate(model.params)}
     value = _ExprParser(_Tokens(text, 1), symbols, ring, n, 1).parse()
-    rat = value.terms.get((0,) * len(ring.vars))
+    rat = value.packed.get(0)
     if value.support_vars() or (rat is None and not value.is_zero):
         raise UsageError(f"expression {text!r} must involve parameters only")
     if rat is None:
@@ -228,10 +228,9 @@ def _branch_note(eq, names):
     """For a single-monomial constraint like a4*a5*a7 = 0, spell out the
     branch structure (each factor may vanish, leaving the others
     unconstrained by this equation)."""
-    if len(eq.terms) != 1:
+    if len(eq.packed) != 1:
         return None
-    exps = next(iter(eq.terms))
-    factors = [names[i] for i, e in enumerate(exps) if e]
+    factors = [names[i] for i, _ in exponents(next(iter(eq.packed)), eq.n)]
     if not factors:
         return None
     branches = " or ".join(f"{f} = 0" for f in factors)

@@ -86,13 +86,13 @@ def extension_sets(model, gb):
     for j, z in enumerate(_state_jet_vars(model, ring), start=1):
         entries = []
         for g in by_leading.get(z, ()):
-            lead_terms = _z_powers(clear_denominators(g), ring.index[z],
+            lead_terms = _z_powers(clear_denominators(g), ring, z,
                                    g.degree_in(z))[0]
-            if len(lead_terms) == 1 and not any(next(iter(lead_terms))):
-                entry = next(iter(lead_terms.values()))
+            if len(lead_terms) == 1 and 0 in lead_terms:
+                entry = lead_terms[0]
             else:
                 entry = Poly(ring, {m: ParamRat(p) for m, p in lead_terms.items()},
-                             n=g.n, _checked=False)
+                             n=g.n, _checked=True)
             if entry not in entries:
                 entries.append(entry)
         if not entries:
@@ -116,12 +116,13 @@ def _by_leading(gb):
     return ring, by_leading
 
 
-def _z_powers(terms, zi, d):
-    """The coefficients of z^d, ..., z^0 (z the zi-th variable, d its
-    degree) of a term dict, as term dicts with z's exponent zeroed."""
+def _z_powers(terms, ring, z, d):
+    """The coefficients of z^d, ..., z^0 (d the degree in z) of a term dict
+    over ring, as term dicts with z's exponent zeroed."""
     parts = [{} for _ in range(d + 1)]
-    for exps, c in terms.items():
-        parts[d - exps[zi]][exps[:zi] + (0,) + exps[zi + 1:]] = c
+    for key, c in terms.items():
+        e, rest = ring.split(key, z)
+        parts[d - e][rest] = c
     return parts
 
 
@@ -225,7 +226,7 @@ def _univariate_roots(g, z, values, pvec):
     """Real roots in z of g with every other variable set from values."""
     d = g.degree_in(z)
     coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
-              for t in _z_powers(g.terms, g.ring.index[z], d)]
+              for t in _z_powers(g.packed, g.ring, z, d)]
     if d == 1:
         if coeffs[0] == 0.0:
             return []

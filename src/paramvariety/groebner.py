@@ -9,14 +9,7 @@ import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .algebra import (
-    MonomialOrder,
-    expvec_add,
-    expvec_divides,
-    expvec_lcm,
-    expvec_sub,
-    poly_divide,
-)
+from .algebra import MonomialOrder, divides, mono_lcm, poly_divide
 from .errors import RingMismatch, ResourceExhausted, UsageError, ZeroPolynomial
 
 
@@ -68,9 +61,9 @@ def s_polynomial(f, g):
         raise RingMismatch("s-polynomial operands live in different rings")
     lm_f, lc_f = f.leading_term()
     lm_g, lc_g = g.leading_term()
-    lcm = expvec_lcm(lm_f, lm_g)
-    left = f.mul_term(lc_f.inv(), expvec_sub(lcm, lm_f))
-    right = g.mul_term(lc_g.inv(), expvec_sub(lcm, lm_g))
+    lcm = mono_lcm(lm_f, lm_g, f.ring.guard)
+    left = f.mul_term(lc_f.inv(), lcm - lm_f)
+    right = g.mul_term(lc_g.inv(), lcm - lm_g)
     return left - right
 
 
@@ -119,10 +112,11 @@ def buchberger(gens, order=None, limits=None, seed=()):
     lms = [g.leading_term()[0] for g in basis]
     pairs = []
     done = {(i, j) for j in range(n_seed) for i in range(j)}
+    guard = order.guard
 
     def add_pairs(j):
         for i in range(j):
-            heappush(pairs, (expvec_lcm(lms[i], lms[j]), i, j))
+            heappush(pairs, (mono_lcm(lms[i], lms[j], guard), i, j))
 
     for j in range(n_seed, len(basis)):
         add_pairs(j)
@@ -137,7 +131,7 @@ def buchberger(gens, order=None, limits=None, seed=()):
         lcm, i, j = heappop(pairs)
         done.add((i, j))
         # coprimality criterion: disjoint leading monomials reduce to zero
-        if lcm == expvec_add(lms[i], lms[j]):
+        if lcm == lms[i] + lms[j]:
             continue
         # chain criterion
         skip = False
@@ -145,7 +139,7 @@ def buchberger(gens, order=None, limits=None, seed=()):
             if k in (i, j):
                 continue
             if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done \
-                    and expvec_divides(lms[k], lcm):
+                    and divides(lms[k], lcm):
                 skip = True
                 break
         if skip:
@@ -176,7 +170,7 @@ def reduce_basis(gb, order=None):
     minimal = []
     for g in polys:
         lm = g.leading_term()[0]
-        if any(expvec_divides(h.leading_term()[0], lm) for h in minimal):
+        if any(divides(h.leading_term()[0], lm) for h in minimal):
             continue
         minimal.append(g)
     # inter-reduce in one ascending pass: every tail term of minimal[i] lies

@@ -54,9 +54,10 @@ class IOEquationBasis:
     def render(self):
         names = self.param_names
         var_names = [str(v) for v in self.ring.vars]
+        n = len(var_names)
         parts = []
         for mono, coeff in zip(self.monos, self.coeffs):
-            mono_s = render_monomial(mono, var_names) or "1"
+            mono_s = render_monomial(self.ring.pack(mono), n, var_names) or "1"
             parts.append(f"({coeff.render(names)}) * {mono_s}")
         lhs = " + ".join(parts)
         rhs_s = self.rhs.render(names) if not self.rhs.is_zero else "0"
@@ -122,12 +123,12 @@ def normalize_io(p, L=None, param_names=None, output_name=None, input_names=()):
     monos = []
     coeffs = []
     rhs_terms = {}
-    for exps in sorted(p.terms):
-        c = p.terms[exps]
+    for key in sorted(p.packed):
+        c = p.packed[key]
         if c.is_param_free:
-            rhs_terms[exps] = -c
+            rhs_terms[key] = -c
         else:
-            monos.append(exps)
+            monos.append(p.ring.unpack(key))
             coeffs.append(c)
     if not coeffs:
         raise NoParameterDependence(

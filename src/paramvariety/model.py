@@ -199,7 +199,7 @@ class _ExprParser:
             raise NonPolynomialModel(
                 "division by a state or input variable makes the model "
                 "non-polynomial", self.line, col)
-        const = rhs.terms[(0,) * len(self.ring.vars)]
+        const = rhs.packed[0]
         return value.scale(const.inv())
 
     def factor(self):
@@ -360,7 +360,7 @@ def parse_model(text):
             if value.is_zero:
                 raise ModelSyntaxError("assume_nonzero entry is identically zero",
                                        lineno)
-            rat = value.terms.get((0,) * len(ring.vars))
+            rat = value.packed.get(0)
             if value.support_vars() or rat is None:
                 raise ModelSyntaxError(
                     "assume_nonzero entries must involve parameters only", lineno)

@@ -21,7 +21,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ParamPoly, ParamRat, Poly, compile_poly, dict_partial
+from .algebra import (
+    ParamPoly,
+    ParamRat,
+    Poly,
+    compile_poly,
+    dict_partial,
+    exponents,
+    support,
+)
 from .errors import IllConditioned, InsufficientData, JetOrderMismatch, UsageError
 
 COND_THRESHOLD = 1e8
@@ -57,13 +65,9 @@ class VarietyConstraints:
     def constraint_params(self):
         """Parameters that actually appear in the constraint equations, in
         declaration order."""
-        used = set()
-        for eq in self.equations:
-            for exps in eq.terms:
-                for i, e in enumerate(exps):
-                    if e:
-                        used.add(i)
-        return tuple(self.param_names[i] for i in sorted(used))
+        used = support(key for eq in self.equations for key in eq.packed)
+        return tuple(self.param_names[i]
+                     for i, _ in exponents(used, len(self.param_names)))
 
 
 def build_linear_system(basis, data):
@@ -86,7 +90,7 @@ def build_linear_system(basis, data):
     exact = all(_is_rational(x) for vals in rows for x in vals)
     index = {var: j for j, var in enumerate(ring.vars)}
     one = ParamRat.one(basis.rhs.n)
-    cols = [compile_poly(Poly(ring, {m: one}, n=one.n, _checked=True), index, (),
+    cols = [compile_poly(Poly(ring, {ring.pack(m): one}, n=one.n, _checked=True), index, (),
                          exact) for m in basis.monos]
     rhs = compile_poly(basis.rhs, index, (), exact)
     matrix = [[col(vals) for col in cols] for vals in rows]
@@ -267,10 +271,11 @@ def sample_variety(constraints, free_params, ranges, n):
     solved_idx = [name_idx[p] for p in solved]
     # row-normalize: rationalized data values can make the cleared integer
     # coefficients huge, and Newton convergence tests must stay in float range
-    row_scale = [max(abs(float(c)) for c in eq.terms.values()) for eq in nontrivial]
+    row_scale = [max(abs(float(c)) for c in eq.packed.values()) for eq in nontrivial]
     # compiled once per call; a row is divided by its scale after evaluation
     eqs = [eq.compiled() for eq in nontrivial]
-    partials = [[ParamPoly(eq.n, dict_partial(eq.terms, i), _checked=True).compiled()
+    assumptions = [a.compiled() for a in constraints.assumptions]
+    partials = [[ParamPoly(eq.n, dict_partial(eq.packed, i, eq.n), _checked=True).compiled()
                  for i in solved_idx] for eq in nontrivial]
     jac_shape = (len(nontrivial), len(solved))
 
@@ -311,8 +316,7 @@ def sample_variety(constraints, free_params, ranges, n):
             continue
         in_range = all(ranges[p][0] - 1e-9 <= full[name_idx[p]] <= ranges[p][1] + 1e-9
                        for p in cparams)
-        ok_assume = all(abs(a.evaluate(full)) > 1e-12
-                        for a in constraints.assumptions)
+        ok_assume = all(abs(a(full)) > 1e-12 for a in assumptions)
         if not in_range or not ok_assume:
             skipped += 1
             continue

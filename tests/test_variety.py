@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paramvariety.algebra import ParamPoly, dict_partial
+from paramvariety.algebra import ParamPoly
 from paramvariety.datalab import DataSet, exact_viral_solution, make_dataset
 from paramvariety.errors import (
     IllConditioned,
@@ -252,6 +252,12 @@ def test_sample_partials_belong_to_their_call():
         assert out.points[0]["a1"] == pytest.approx(0.75, abs=1e-9)
 
 
+def _partial(terms, i):
+    """The partial derivative in the i-th parameter of {exponent tuple:
+    coefficient}."""
+    return {k[:i] + (k[i] - 1,) + k[i + 1:]: v * k[i] for k, v in terms.items() if k[i]}
+
+
 def _ref_sample_variety(constraints, free_params, ranges, n):
     """The former sampler: every Newton step evaluates the equations and the
     Jacobian entries through ParamPoly.evaluate and takes np.linalg.norm."""
@@ -266,8 +272,8 @@ def _ref_sample_variety(constraints, free_params, ranges, n):
     def eval_eqs(full):
         return np.array([eq.evaluate(full) for eq in nontrivial]) / row_scale
 
-    partials = [[ParamPoly(eq.n, dict_partial(eq.terms, name_idx[p]), _checked=True)
-                 for p in solved] for eq in nontrivial]
+    partials = [[ParamPoly(eq.n, _partial(eq.terms, name_idx[p])) for p in solved]
+                for eq in nontrivial]
 
     def eval_jac(full):
         jac = np.zeros((len(nontrivial), len(solved)))
