@@ -67,9 +67,19 @@ Canonical form of a ParamRat: numerator and denominator are jointly cleared
 to integers of content 1, share no common monomial factor, an exact
 trial-division pass cancels one into the other when possible, and the
 denominator's leading coefficient (lexicographic in parameter-declaration
-order) is positive. A product with a parameter-free factor only rescales and
-divides out integer content, which yields the same terms in the same order
-as the full normalization.
+order) is positive. So a canonical pair holds int coefficients only. One
+routine, ``_canonical``, builds that form on the raw term dicts, in that
+order, and every ParamRat operation works on ``num.packed``/``den.packed``
+and ends in it; the public constructor calls it too. A product with a
+parameter-free factor only rescales and divides out integer content, which
+yields the same terms in the same order as the full normalization.
+
+The form is not unique: trial division finds a common factor only when one
+side divides the other, so a coefficient can keep a common non-monomial
+factor, and its terms depend on the operations that built it. Every
+operation therefore does the same exact operations in the same order (no
+lazy normalization, no fused multiply-add); a different order can change
+the bases and artifacts that the package writes.
 """
 
 from fractions import Fraction
@@ -312,7 +322,7 @@ def _integer_primitive(*term_dicts):
     to an int; dicts that are already int-only with content 1 come back as
     they are, uncopied."""
     dens = [c.denominator for terms in term_dicts for c in terms.values()
-            if isinstance(c, Fraction)]
+            if type(c) is not int]
     if dens:
         m = lcm(*dens)
         term_dicts = [{k: c.numerator * (m // c.denominator) for k, c in terms.items()}
@@ -527,49 +537,112 @@ def _exact(value):
     return Fraction(value)
 
 
-def exact_divide(num, den):
-    """Exact multivariate quotient num/den in the parameter ring, or None
-    when den does not divide num. A quotient coefficient is an int when the
-    leading coefficients divide in the integers, else a Fraction."""
-    if den.is_zero:
-        raise DivisionByZero("division of parameter polynomials by zero")
-    if num.is_zero:
-        return ParamPoly.zero(num.n)
-    lm_d, lc_d = den.lead()
-    int_lc = isinstance(lc_d, int)
-    rem = dict(num.packed)
+def _quotient(A, B):
+    """Exact quotient of the term dicts A / B (B nonzero) in the parameter
+    ring, or None when B does not divide A. A quotient coefficient is an int
+    when the leading coefficients divide in the integers, else a
+    Fraction."""
+    lm_d = max(B)
+    lc_d = B[lm_d]
+    int_lc = type(lc_d) is int
+    rem = dict(A)
     quot = {}
     while rem:
         lm_r = max(rem)
-        if not divides(lm_d, lm_r):
+        if lm_d > lm_r or (lm_r - lm_d) & _GUARD:
             return None
         r = rem[lm_r]
-        if int_lc and isinstance(r, int) and not r % lc_d:
+        if int_lc and type(r) is int and not r % lc_d:
             c = r // lc_d
         else:
             c = Fraction(r) / lc_d
         delta = lm_r - lm_d
         quot[delta] = c
-        dict_axpy(rem, -c, delta, den.packed)
-    return ParamPoly(num.n, quot, _checked=True)
+        dict_axpy(rem, -c, delta, B)
+    return quot
+
+
+def exact_divide(num, den):
+    """Exact multivariate quotient num/den of ParamPolys, or None when den
+    does not divide num (see ``_quotient``)."""
+    if den.is_zero:
+        raise DivisionByZero("division of parameter polynomials by zero")
+    q = _quotient(num.packed, den.packed)
+    return None if q is None else _poly(num.n, q)
+
+
+def _poly(n, terms):
+    """A ParamPoly over n parameters on a valid term dict, unchecked."""
+    p = object.__new__(ParamPoly)
+    p.n = n
+    p.packed = terms
+    return p
+
+
+def _rat(n, num, den):
+    """A ParamRat on a canonical pair of term dicts, unchecked."""
+    r = object.__new__(ParamRat)
+    r.num = _poly(n, num)
+    r.den = _poly(n, den)
+    return r
+
+
+def _canonical(num, den, n):
+    """The ParamRat num/den of two term dicts over n parameters, den
+    nonzero, in canonical form (see the module docstring). In order: the
+    joint integer primitive, the common monomial factor divided out, one
+    trial-division pass (num by den, else den by num; one that succeeds
+    leaves a constant side, so a second pass could not divide again) and the
+    sign of den's leading coefficient."""
+    if not num:
+        return _rat(n, {}, {0: 1})
+    num, den = _integer_primitive(num, den)
+    shift = _common_monomial(num, den, n)
+    if shift:
+        num = {k - shift: c for k, c in num.items()}
+        den = {k - shift: c for k, c in den.items()}
+    if not (len(den) == 1 and 0 in den):
+        q = _quotient(num, den)
+        if q is not None:
+            num, den = _integer_primitive(q, {0: 1})
+        elif not (len(num) == 1 and 0 in num):
+            q = _quotient(den, num)
+            if q is not None:
+                num, den = _integer_primitive({0: 1}, q)
+    if den[max(den)] < 0:
+        num, den = dict_neg(num), dict_neg(den)
+    return _rat(n, num, den)
+
+
+def _common_monomial(a, b, n):
+    """The greatest monomial dividing every key of the term dicts a and b
+    over n parameters."""
+    if 0 in a or 0 in b:
+        return 0
+    guard = _GUARD >> (FIELD * (MAX_VARS - n))
+    m = None
+    for terms in (a, b):
+        for key in terms:
+            m = key if m is None else mono_min(m, key, guard)
+            if not m:
+                return 0
+    return m
 
 
 class ParamRat:
     """Element of the coefficient field: a ratio of ParamPolys in canonical
-    form (see module docstring). Construction normalizes."""
+    form (see module docstring). Construction normalizes; the arithmetic
+    works on the term dicts of ``num.packed`` and ``den.packed``."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = ParamPoly.const(num.n, 1)
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
         if den.is_zero:
             raise DivisionByZero("zero denominator")
-        self.num, self.den = _normalize(num, den)
+        r = _canonical(num.packed, den.packed, num.n)
+        self.num, self.den = r.num, r.den
 
     @classmethod
     def from_const(cls, n, value):
@@ -577,25 +650,22 @@ class ParamRat:
         lowest terms with q > 0, and an int v is v/1."""
         value = _exact(value)
         if not value:
-            return cls.zero(n)
+            return _rat(n, {}, {0: 1})
         if isinstance(value, Fraction):
-            num, den = value.numerator, value.denominator
-        else:
-            num, den = value, 1
-        return cls(ParamPoly.const(n, num), ParamPoly.const(n, den),
-                   _canonical=True)
+            return _rat(n, {0: value.numerator}, {0: value.denominator})
+        return _rat(n, {0: value}, {0: 1})
 
     @classmethod
     def zero(cls, n):
-        return cls(ParamPoly.zero(n), ParamPoly.const(n, 1), _canonical=True)
+        return _rat(n, {}, {0: 1})
 
     @classmethod
     def one(cls, n):
-        return cls(ParamPoly.const(n, 1), ParamPoly.const(n, 1), _canonical=True)
+        return _rat(n, {0: 1}, {0: 1})
 
     @classmethod
     def gen(cls, n, i):
-        return cls(ParamPoly.gen(n, i), _canonical=False)
+        return cls(ParamPoly.gen(n, i))
 
     # -- predicates
 
@@ -605,11 +675,11 @@ class ParamRat:
 
     @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.num.packed
 
     @property
     def is_one(self):
-        return self.num == self.den
+        return self.num.packed == self.den.packed
 
     @property
     def is_param_free(self):
@@ -627,70 +697,77 @@ class ParamRat:
         return ParamRat.from_const(self.n, other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_zero:
+        if type(other) is not ParamRat or other.num.n != self.num.n:
+            other = self._coerce(other)
+        a, b = self.num.packed, other.num.packed
+        if not a:
             return other
-        if other.is_zero:
+        if not b:
             return self
-        if self.den.packed == other.den.packed:
-            return ParamRat(self.num + other.num, self.den)
-        return ParamRat(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
+        c, d = self.den.packed, other.den.packed
+        if c == d:
+            return _canonical(dict_add(a, b), c, self.num.n)
+        return _canonical(dict_add(dict_mul(a, d), dict_mul(b, c)), dict_mul(c, d),
+                          self.num.n)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if type(other) is not ParamRat:
+            other = self._coerce(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return ParamRat(-self.num, self.den, _canonical=True)
+        return _rat(self.num.n, dict_neg(self.num.packed), self.den.packed)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return ParamRat.zero(self.n)
-        if other.is_param_free:
-            return self._scaled(other)
-        if self.is_param_free:
-            return other._scaled(self)
-        return ParamRat(self.num * other.num, self.den * other.den)
+        if type(other) is not ParamRat or other.num.n != self.num.n:
+            other = self._coerce(other)
+        a, b = self.num.packed, other.num.packed
+        if not a or not b:
+            return _rat(self.num.n, {}, {0: 1})
+        c, d = self.den.packed, other.den.packed
+        if len(b) == 1 and 0 in b and len(d) == 1 and 0 in d:
+            return self._scaled(b[0], d[0])
+        if len(a) == 1 and 0 in a and len(c) == 1 and 0 in c:
+            return other._scaled(a[0], c[0])
+        return _canonical(dict_mul(a, b), dict_mul(c, d), self.num.n)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c):
-        """self * c for a nonzero parameter-free c, both canonical.
+    def _scaled(self, p, q):
+        """self * p/q for the canonical constant p/q (q > 0, p nonzero).
 
-        With c = p/q (q > 0), num*p / den*q needs only its common integer
-        content divided out: a constant factor changes neither the common
-        monomial factor nor exact divisibility, and keeps the sign of den's
-        leading coefficient, so _normalize would reach the same terms in
-        the same order."""
-        p, q = c.num.lead()[1], c.den.lead()[1]
+        num*p / den*q needs only its common integer content divided out: a
+        constant factor changes neither the common monomial factor nor exact
+        divisibility, and keeps the sign of den's leading coefficient, so
+        _canonical would reach the same terms in the same order."""
         if p == q:
             return self
         num, den = _integer_primitive({k: v * p for k, v in self.num.packed.items()},
                                       {k: v * q for k, v in self.den.packed.items()})
-        return ParamRat(ParamPoly(self.n, num, _checked=True),
-                        ParamPoly(self.n, den, _checked=True), _canonical=True)
+        return _rat(self.num.n, num, den)
 
     def inv(self):
-        """den/num without renormalizing. In canonical form at most one
-        trial division of _normalize succeeded, and one side is constant
-        after it; otherwise both failed. So the swapped pair, with the sign
+        """den/num without renormalizing. In canonical form the trial
+        division pass of _canonical either succeeded, leaving one side
+        constant, or failed both ways. So the swapped pair, with the sign
         moved onto the new denominator's leading coefficient, is the
-        canonical form _normalize would build, term for term."""
-        if self.is_zero:
+        canonical form _canonical would build, term for term."""
+        num, den = self.den.packed, self.num.packed
+        if not den:
             raise DivisionByZero("inversion of the zero rational function")
-        num, den = self.den, self.num
-        if den.lead()[1] < 0:
-            num, den = -num, -den
-        return ParamRat(num, den, _canonical=True)
+        if den[max(den)] < 0:
+            num, den = dict_neg(num), dict_neg(den)
+        return _rat(self.num.n, num, den)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inv()
+        if type(other) is not ParamRat:
+            other = self._coerce(other)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inv()
@@ -709,7 +786,7 @@ class ParamRat:
     __hash__ = None
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.num.packed)
 
     # -- evaluation / rendering
 
@@ -733,59 +810,6 @@ class ParamRat:
 
     def __repr__(self):
         return f"ParamRat({self.num.terms!r}, {self.den.terms!r})"
-
-
-def _rescale_pair(num, den):
-    """Scale num/den jointly (preserving the quotient) to integer
-    coefficients of joint content 1 and divide out their common monomial
-    factor."""
-    a, b = _integer_primitive(num.packed, den.packed)
-    shift = _common_monomial(a, b, num.n)
-    if shift:
-        a, b = _shift_down(a, shift), _shift_down(b, shift)
-    return ParamPoly(num.n, a, _checked=True), ParamPoly(num.n, b, _checked=True)
-
-
-def _normalize(num, den):
-    """Canonicalize a num/den pair; see the module docstring for the form."""
-    if num.is_zero:
-        return ParamPoly.zero(num.n), ParamPoly.const(num.n, 1)
-    num, den = _rescale_pair(num, den)
-    for _ in range(8):  # each trial division strictly lowers a degree
-        if den.is_constant:
-            break
-        q = exact_divide(num, den)
-        if q is not None:
-            num, den = _rescale_pair(q, ParamPoly.const(num.n, 1))
-            continue
-        if not num.is_constant:
-            q = exact_divide(den, num)
-            if q is not None:
-                num, den = _rescale_pair(ParamPoly.const(num.n, 1), q)
-                continue
-        break
-    if den.lead()[1] < 0:
-        num, den = -num, -den
-    return num, den
-
-
-def _common_monomial(a, b, n):
-    """The greatest monomial dividing every key of the term dicts a and b
-    over n parameters."""
-    if 0 in a or 0 in b:
-        return 0
-    guard = field_guard(n)
-    m = None
-    for terms in (a, b):
-        for key in terms:
-            m = key if m is None else mono_min(m, key, guard)
-            if not m:
-                return 0
-    return m
-
-
-def _shift_down(terms, shift):
-    return {key - shift: c for key, c in terms.items()}
 
 
 def render_monomial(key, n, names):
@@ -1036,8 +1060,12 @@ class Poly:
         if k < 0:
             raise ValueError("negative polynomial power")
         out = Poly.const(self.ring, ParamRat.one(self.n))
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
         return out
 
     def monic(self):
@@ -1215,7 +1243,7 @@ def poly_divide(f, divisors):
         mono = max(work)
         coeff = work[mono]
         for i, (lm, lc) in enumerate(lead):
-            if divides(lm, mono):
+            if lm <= mono and not (mono - lm) & _GUARD:
                 delta = mono - lm
                 q = coeff if lc.is_one else coeff / lc
                 quots[i][delta] = q

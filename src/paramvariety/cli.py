@@ -54,12 +54,17 @@ def _sha16(path):
     return h.hexdigest()[:16]
 
 
-def _metadata(args, **files):
+def _inputs(**files):
+    """{label: (path, sha256 prefix)} of each input file given, so a run
+    reads and hashes each file once."""
+    return {label: (path, _sha16(path)) for label, path in files.items() if path}
+
+
+def _metadata(args, inputs):
     lines = [f"paramvariety {__version__}",
              f"seed: {getattr(args, 'seed', 0)}"]
-    for label, path in files.items():
-        if path:
-            lines.append(f"{label}: {os.path.basename(path)} sha256:{_sha16(path)}")
+    for label, (path, digest) in inputs.items():
+        lines.append(f"{label}: {os.path.basename(path)} sha256:{digest}")
     return lines
 
 
@@ -173,7 +178,7 @@ def _write_lines(path, lines):
 
 def cmd_ioeq(args):
     model = load_model(args.model)
-    meta = _metadata(args, model=args.model)
+    meta = _metadata(args, _inputs(model=args.model))
     try:
         basis = derive_io_basis(model)
     except NoParameterDependence as exc:
@@ -194,7 +199,8 @@ def cmd_pseudo(args):
     dataset = _generate_dataset(args, model, basis.L, basis.n_coeffs,
                                 random.Random(args.seed))
     path = os.path.join(args.out, "dataset.csv")
-    write_dataset(path, dataset, header_comments=_metadata(args, model=args.model))
+    write_dataset(path, dataset,
+                  header_comments=_metadata(args, _inputs(model=args.model)))
     print(f"wrote {path} ({len(dataset.times)} rows, jets to order {dataset.order})")
     return 0
 
@@ -243,10 +249,8 @@ def cmd_variety(args):
         raise UsageError(f"--samples must not be negative, got {args.samples}")
     model = load_model(args.model)
     basis = derive_io_basis(model)
-    meta_files = {"model": args.model}
     if args.data:
         dataset = read_dataset(args.data)
-        meta_files["data"] = args.data
         if len(dataset.times) < basis.n_coeffs:
             raise InsufficientData(
                 f"data must be measured for at least {basis.n_coeffs} time "
@@ -267,7 +271,8 @@ def cmd_variety(args):
                                       cond=result.cond)
     report = run_extension_check(model, basis.gb)
 
-    meta = _metadata(args, **meta_files)
+    inputs = _inputs(model=args.model, data=args.data)
+    meta = _metadata(args, inputs)
     lines = [f"# {m}" for m in meta]
     lines.append(f"L = {basis.L}")
     lines.append(f"input-output equation: {basis.render()}")
@@ -293,7 +298,7 @@ def cmd_variety(args):
     doc = {
         "version": __version__,
         "seed": args.seed,
-        "inputs": {k: _sha16(v) for k, v in meta_files.items()},
+        "inputs": {label: digest for label, (_, digest) in inputs.items()},
         "L": basis.L,
         "io_equation": basis.render(),
         "v": [float(x) for x in result.v],
@@ -372,7 +377,7 @@ def _emit_samples(args, model, constraints, meta):
 def cmd_extend(args):
     model = load_model(args.model)
     report = run_extension_check(model, derive_io_basis(model).gb)
-    lines = [f"# {m}" for m in _metadata(args, model=args.model)]
+    lines = [f"# {m}" for m in _metadata(args, _inputs(model=args.model))]
     lines.append(report.render())
     path = os.path.join(args.out, "extension.txt")
     _write_lines(path, lines)
@@ -399,7 +404,7 @@ def cmd_sample(args):
         raise UsageError("sample needs --data or --v")
     constraints = variety_constraints(basis, v,
                                       assumptions=model.assume_nonzero)
-    meta = _metadata(args, model=args.model, data=args.data)
+    meta = _metadata(args, _inputs(model=args.model, data=args.data))
     _emit_samples(args, model, constraints, meta)
     return 0
 

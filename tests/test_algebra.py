@@ -12,10 +12,12 @@ from paramvariety.algebra import (
     ParamPoly,
     ParamRat,
     Poly,
+    _canonical,
     _integer_primitive,
-    _rescale_pair,
     dict_mul,
     exact_divide,
+    field_guard,
+    mono_min,
     pack,
     poly_divide,
 )
@@ -29,7 +31,7 @@ from paramvariety.ioeq import derive_io_basis
 from paramvariety.model import load_model
 
 from .conftest import MODELS
-from .helpers import agens, pp, random_paramrat, random_poly, xy_ring
+from .helpers import agens, pp, random_parampoly, random_paramrat, random_poly, xy_ring
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +122,8 @@ def _content(terms):
 
 
 def test_scalar_product_matches_full_normalization():
-    # a product with a parameter-free factor skips _normalize; it must give
-    # the terms, and their dict order, that the full normalization gives
+    # a product with a parameter-free factor only rescales; it must give the
+    # terms, and their dict order, that the full normalization gives
     rng = random.Random(11)
     n = 3
     checked = param_den = 0
@@ -439,6 +441,27 @@ def test_divide_reassembles(rng):
                 assert not all(a <= b for a, b in zip(lm, exps))
 
 
+def test_poly_power_matches_repeated_product():
+    rng = random.Random(21)
+    ring, _, _ = xy_ring()
+    n = 2
+    a1, a2 = agens(n)
+    coeffs = [lambda: ParamRat.from_const(n, Fraction(rng.randint(-9, 9),
+                                                      rng.randint(1, 9))),
+              lambda: rng.choice([a1, a2, a1 + a2, a1 / a2]) * rng.randint(-3, 3)]
+    for coeff in coeffs:
+        for _ in range(6):
+            terms = {(rng.randint(0, 2), rng.randint(0, 2)): coeff()
+                     for _ in range(rng.randint(1, 3))}
+            p = Poly(ring, terms, n=n)
+            product = Poly.const(ring, ParamRat.one(n))
+            for k in range(10):
+                assert p ** k == product
+                product = product * p
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_divide_ring_mismatch():
     ring, _, _ = xy_ring()
     other = MonomialOrder([DiffVar("x", 0)])
@@ -572,7 +595,8 @@ def test_integer_clearing_matches_reference():
         num, den = (_clearing_input(rng, n, rng.choice(["int", "fraction", "whole",
                                                          "mixed"]))
                     for _ in range(2))
-        got, want = _rescale_pair(num, den), _ref_rescale_pair(num, den)
+        r = _canonical(num.packed, den.packed, n)
+        got, want = (r.num, r.den), _former_normalize(num, den, _ref_rescale_pair)
         assert [repr(p.terms) for p in got] == [repr(p.terms) for p in want]
         for p in (num, den):
             assert repr(p.primitive().terms) == repr(_ref_primitive(p).terms)
@@ -590,3 +614,176 @@ def test_integer_clearing_matches_reference():
     # the common case: an int-only dict of content 1 comes back uncopied
     terms = {(1, 0): 3, (0, 1): -2}
     assert _integer_primitive(terms)[0] is terms
+
+
+# ---------------------------------------------------------------------------
+# the ParamRat kernel against the ParamPoly-level normalization it replaced
+# ---------------------------------------------------------------------------
+
+def _former_common_monomial(a, b, n):
+    """The former algebra._common_monomial."""
+    if 0 in a or 0 in b:
+        return 0
+    guard = field_guard(n)
+    m = None
+    for terms in (a, b):
+        for key in terms:
+            m = key if m is None else mono_min(m, key, guard)
+            if not m:
+                return 0
+    return m
+
+
+def _former_rescale_pair(num, den):
+    """The former algebra._rescale_pair: the joint integer primitive, then
+    the common monomial factor divided out."""
+    a, b = _integer_primitive(num.packed, den.packed)
+    shift = _former_common_monomial(a, b, num.n)
+    if shift:
+        a = {key - shift: c for key, c in a.items()}
+        b = {key - shift: c for key, c in b.items()}
+    return ParamPoly(num.n, a, _checked=True), ParamPoly(num.n, b, _checked=True)
+
+
+def _former_normalize(num, den, rescale=_former_rescale_pair, seen=None):
+    """The former algebra._normalize over ParamPolys, with the rescaling
+    step as a parameter; seen collects the branches taken."""
+    seen = set() if seen is None else seen
+    if num.is_zero:
+        return ParamPoly.zero(num.n), ParamPoly.const(num.n, 1)
+    if _former_common_monomial(*_integer_primitive(num.packed, den.packed), num.n):
+        seen.add("common monomial")
+    num, den = rescale(num, den)
+    for _ in range(8):  # each trial division strictly lowers a degree
+        if den.is_constant:
+            break
+        q = exact_divide(num, den)
+        if q is not None:
+            seen.add("num by den")
+            num, den = rescale(q, ParamPoly.const(num.n, 1))
+            continue
+        if not num.is_constant:
+            q = exact_divide(den, num)
+            if q is not None:
+                seen.add("den by num")
+                num, den = rescale(ParamPoly.const(num.n, 1), q)
+                continue
+        break
+    if den.lead()[1] < 0:
+        seen.add("sign")
+        num, den = -num, -den
+    return num, den
+
+
+def _former_ops(x, y, seen):
+    """{operation: (num, den)} of x*y, x+y, x-y, -x, x/y and inv(x) for
+    canonical (num, den) pairs x and y, as the former ParamRat methods
+    computed them."""
+    n = x[0].n
+
+    def normalize(num, den):
+        return _former_normalize(num, den, seen=seen)
+
+    def neg(a):
+        return -a[0], a[1]
+
+    def inv(a):
+        num, den = a[1], a[0]
+        return (-num, -den) if den.lead()[1] < 0 else (num, den)
+
+    def scaled(a, c):
+        seen.add("scaled")
+        p, q = c[0].lead()[1], c[1].lead()[1]
+        if p == q:
+            return a
+        num, den = _integer_primitive({k: v * p for k, v in a[0].packed.items()},
+                                      {k: v * q for k, v in a[1].packed.items()})
+        return ParamPoly(n, num, _checked=True), ParamPoly(n, den, _checked=True)
+
+    def mul(a, b):
+        if a[0].is_zero or b[0].is_zero:
+            return ParamPoly.zero(n), ParamPoly.const(n, 1)
+        if b[0].is_constant and b[1].is_constant:
+            return scaled(a, b)
+        if a[0].is_constant and a[1].is_constant:
+            return scaled(b, a)
+        return normalize(a[0] * b[0], a[1] * b[1])
+
+    def add(a, b):
+        if a[0].is_zero:
+            return b
+        if b[0].is_zero:
+            return a
+        if a[1].packed == b[1].packed:
+            return normalize(a[0] + b[0], a[1])
+        return normalize(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+    out = {"mul": mul(x, y), "add": add(x, y), "sub": add(x, neg(y)), "neg": neg(x)}
+    if not y[0].is_zero:
+        out["div"] = mul(x, inv(y))
+    if not x[0].is_zero:
+        out["inv"] = inv(x)
+    return out
+
+
+def _kernel_operands(rng, n):
+    """Canonical operands: zero, parameter-free, with a monomial factor on
+    either side, and pairs whose product or sum cancels a factor, such as
+    ((a+b) c / d) * (d / (a+b))."""
+    def poly():
+        return random_parampoly(rng, n, max_terms=3)
+
+    def nonzero():
+        p = poly()
+        while p.is_zero:
+            p = poly()
+        return p
+
+    def monomial():
+        return ParamPoly.gen(n, rng.randrange(n), rng.randint(1, 2))
+
+    f, c, d = nonzero(), nonzero(), nonzero()
+    g, h = nonzero(), nonzero()
+    return [
+        ParamRat.zero(n),
+        ParamRat.from_const(n, Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                                        rng.randint(1, 12))),
+        ParamRat(nonzero() * monomial(), nonzero()),
+        ParamRat(nonzero(), nonzero() * monomial()),
+        ParamRat(f * c, d), ParamRat(d, f),           # product cancels to c
+        ParamRat(d, f * c), ParamRat(f, d),           # product cancels to 1/c
+        ParamRat(g * h, d), ParamRat(g * (c - h), d),  # sum has the factor g
+        random_paramrat(rng, n),
+        -random_paramrat(rng, n),
+    ]
+
+
+def _terms_repr(pair):
+    return repr(pair[0].terms), repr(pair[1].terms)
+
+
+def test_paramrat_kernel_matches_former_normalization():
+    rng = random.Random(14)
+    seen = set()
+    compared = 0
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        operands = _kernel_operands(rng, n)
+        pairs = [(x, y) for x in operands for y in operands]
+        pairs += [(x, y) for x in operands[4:10] for y in operands[4:10]]
+        for x, y in rng.sample(pairs, 40) + list(zip(operands, operands[1:])):
+            want = _former_ops((x.num, x.den), (y.num, y.den), seen)
+            got = {"mul": x * y, "add": x + y, "sub": x - y, "neg": -x}
+            if not y.is_zero:
+                got["div"] = x / y
+            if not x.is_zero:
+                got["inv"] = x.inv()
+            assert got.keys() == want.keys()
+            for op, r in got.items():
+                assert _terms_repr((r.num, r.den)) == _terms_repr(want[op]), (op, x, y)
+                # canonical pairs are int-only
+                assert all(type(c) is int for c in (*r.num.packed.values(),
+                                                    *r.den.packed.values()))
+                compared += 1
+    assert compared > 8000
+    assert seen == {"common monomial", "num by den", "den by num", "sign", "scaled"}

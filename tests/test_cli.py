@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from paramvariety import cli
 from paramvariety.cli import build_parser, main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -106,6 +107,25 @@ def test_variety_end_to_end(tmp_path):
         assert svg.startswith("<svg") and "circle" in svg
     samples = (out / "samples.csv").read_text().splitlines()
     assert samples[-1].count(",") == 2
+
+
+def test_variety_hashes_each_input_once(tmp_path, monkeypatch):
+    assert _run("pseudo", "--model", VIRAL, *GEN_2D, "--out", str(tmp_path)) == 0
+    data = str(tmp_path / "dataset.csv")
+    hashed = []
+    real = cli._sha16
+    monkeypatch.setattr(cli, "_sha16", lambda path: hashed.append(path) or real(path))
+    out = tmp_path / "run"
+    assert _run("variety", "--model", VIRAL, "--data", data, "--samples", "4",
+                "--free", "a4", "--ranges", "a4=0:5.76,a5=0:1,a7=0:8",
+                "--out", str(out)) == 0
+    assert sorted(hashed) == sorted([VIRAL, data])
+    digests = {"model": real(VIRAL), "data": real(data)}
+    assert json.loads((out / "variety.json").read_text())["inputs"] == digests
+    for artifact in ("variety.txt", "samples.csv"):
+        text = (out / artifact).read_text()
+        assert f"# model: viral.model sha256:{digests['model']}" in text
+        assert f"# data: dataset.csv sha256:{digests['data']}" in text
 
 
 def test_variety_deterministic(tmp_path):

@@ -114,6 +114,23 @@ y = x1
     assert coeff == ParamRat.gen(1, 0) * ParamRat.from_const(1, Fraction(1, 10))
 
 
+def test_large_power_parses_to_one_term():
+    # x1^20000 is one term; the power squares and multiplies, so this parse
+    # costs about as much as (x1^200)^100
+    src = """
+states: x1
+output: y
+params: a
+horizon: 0 1
+dx1/dt = a*x1^20000
+y = x1
+"""
+    m = parse_model(src)
+    x1 = DiffVar("x1", 0)
+    assert m.f[0].terms == {(20000,): ParamRat.gen(1, 0)}
+    assert m.f[0].degree_in(x1) == 20000
+
+
 def test_missing_equation():
     src = """
 states: x1 x2
