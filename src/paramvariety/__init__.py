@@ -6,6 +6,11 @@ jets, the toolkit derives the model's input-output equation, solves for its
 coefficient values, emits the polynomial constraints cutting out every
 data-consistent parameter, and runs the extension check certifying that no
 spurious parameters remain.
+
+The exact half (input-output equation, Groebner basis, extension check) is
+pure Python. numpy serves only the float half (pseudo-data, the coefficient
+solve, sampling) and is imported on the first float call, so importing the
+package, or running ``ioeq`` or ``extend``, does not load it.
 """
 
 from .algebra import (

@@ -433,12 +433,16 @@ class ParamPoly:
         return ParamPoly.const(self.n, other)
 
     def __add__(self, other):
+        if isinstance(other, ParamRat):
+            return NotImplemented
         other = self._coerce(other)
         return ParamPoly(self.n, dict_add(self.packed, other.packed), _checked=True)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, ParamRat):
+            return NotImplemented
         other = self._coerce(other)
         return ParamPoly(self.n, dict_sub(self.packed, other.packed), _checked=True)
 
@@ -449,6 +453,8 @@ class ParamPoly:
         return ParamPoly(self.n, dict_neg(self.packed), _checked=True)
 
     def __mul__(self, other):
+        if isinstance(other, ParamRat):
+            return NotImplemented
         if isinstance(other, ParamPoly):
             if other.n != self.n:
                 raise RingMismatch("parameter counts differ")
@@ -688,12 +694,10 @@ class ParamRat:
     # -- arithmetic
 
     def _coerce(self, other):
-        if isinstance(other, ParamRat):
+        if isinstance(other, (ParamRat, ParamPoly)):
             if other.n != self.n:
                 raise RingMismatch("parameter counts differ")
-            return other
-        if isinstance(other, ParamPoly):
-            return ParamRat(other)
+            return other if isinstance(other, ParamRat) else ParamRat(other)
         return ParamRat.from_const(self.n, other)
 
     def __add__(self, other):

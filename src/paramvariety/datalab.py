@@ -15,14 +15,18 @@ so they do the float operations of ``algebra.compile_poly`` in the same
 order, and its stages keep the operation order of the numpy formulation:
 the states are bit for bit the same as evaluating the model with
 ``compile_poly`` under numpy-style stages.
+
+numpy is imported inside the float functions (``integrate_model``,
+``central_difference``, ``make_dataset``) on their first call, not with
+this module, so the exact half of the package never loads it.
 """
+
+from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import (
     DiffVar,
@@ -228,6 +232,8 @@ def integrate_model(model, params, x0, grid):
     of numpy float64 arithmetic, signs of zero included.
     A state that overflows or becomes non-finite raises BlowUp.
     """
+    import numpy as np
+
     check_assumptions(model, params)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
@@ -360,24 +366,6 @@ def jet_at(model, params, state, t=0.0, u_jet=(), order=1):
                      source="symbolic_pushforward")
 
 
-def state_jet(model, params, state, order, u_jet=()):
-    """Values of every state derivative up to the given order along the
-    vector field (x^(k) by iterated substitution of the dynamics), as
-    floats. Each input needs its jet u, u', ..., u^(order-1) in u_jet."""
-    values = _param_vector(model, params)
-    ring, velocity = _lie_velocity(model, order)
-    index = _point_index(model, order)
-    vals = _point_values(model, state, u_jet, order, float)
-    out = {}
-    for s in model.states:
-        cur = Poly.var(ring, DiffVar(s, 0), model.nparams)
-        out[DiffVar(s, 0)] = compile_poly(cur, index, values)(vals)
-        for k in range(1, order + 1):
-            cur = cur.derivative(velocity)
-            out[DiffVar(s, k)] = compile_poly(cur, index, values)(vals)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form viral solution
 # ---------------------------------------------------------------------------
@@ -435,6 +423,8 @@ def central_difference(times, values, order):
     Second-order central stencils inside the grid; one-sided second-order
     stencils at the endpoints, flagged in the returned provenance list.
     """
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(times) != len(values):
@@ -477,6 +467,8 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
     'finite-difference' differentiates a densely sampled trajectory; both
     give float jets, which are solved in floating point like measured data.
     """
+    import numpy as np
+
     times = sorted(float(t) for t in times)
     if t0 is None:
         t0 = model.horizon[0]

@@ -21,8 +21,6 @@ split of an element by powers of its leading variable (``_z_powers``).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     DiffVar,
     ParamPoly,
@@ -224,6 +222,8 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
 
 def _univariate_roots(g, z, values, pvec):
     """Real roots in z of g with every other variable set from values."""
+    import numpy as np
+
     d = g.degree_in(z)
     coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
               for t in _z_powers(g.packed, g.ring, z, d)]

@@ -11,15 +11,18 @@ constraint polynomials are rationalized exactly (0.8512 -> 8512/10000).
 The sampler compiles its equations and their Jacobian once per call
 (``ParamPoly.compiled``), so a Newton step evaluates float term lists
 instead of walking exponent vectors in exact arithmetic.
+
+numpy is imported inside the solve and sampling functions on their first
+call, not with this module, so importing the package does not load it.
 """
+
+from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import (
     ParamPoly,
@@ -78,6 +81,8 @@ def build_linear_system(basis, data):
     int or Fraction the arrays hold exact Fractions (dtype object);
     otherwise they are float arrays.
     """
+    import numpy as np
+
     if data.order < basis.L:
         raise JetOrderMismatch(
             f"data carries jets to order {data.order}, the input-output "
@@ -115,6 +120,8 @@ def solve_coefficients(matrix, rhs):
     Float systems (measured data) are solved in floating point and refused
     when rank deficient or when the condition exceeds COND_THRESHOLD.
     """
+    import numpy as np
+
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
     k, l = matrix.shape
@@ -140,6 +147,8 @@ def solve_coefficients(matrix, rhs):
 
 
 def _solve_exact(a, b, cond):
+    import numpy as np
+
     if len(a) == len(a[0]):
         sq, sb = a, b
     else:
@@ -246,6 +255,8 @@ def sample_variety(constraints, free_params, ranges, n):
     integer of at least 1, every range (lo, hi) must have lo <= hi and no
     free parameter may be given twice; anything else raises UsageError.
     """
+    import numpy as np
+
     if not isinstance(n, numbers.Integral) or n < 1:
         raise UsageError(f"sample count must be an integer of at least 1, "
                          f"got {n!r}")
@@ -328,6 +339,8 @@ def _newton(full, solved_idx, eval_eqs, eval_jac):
     """Damped Gauss-Newton on the solved positions of full, in place. The
     norm is sqrt(r . r), the computation of np.linalg.norm on a 1-D float
     array."""
+    import numpy as np
+
     res = eval_eqs(full)
     norm = math.sqrt(res.dot(res))
     if not solved_idx:

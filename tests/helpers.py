@@ -3,7 +3,8 @@
 import itertools
 from fractions import Fraction
 
-from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly
+from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly, compile_poly
+from paramvariety.datalab import _lie_velocity, _param_vector, _point_index, _point_values
 
 from .conftest import MODELS
 
@@ -122,3 +123,21 @@ def input_model_texts():
     output that reads u too (its jet ring holds one more derivative of u)."""
     return {"input": _INPUT_TEXT,
             "output-reads-input": _INPUT_TEXT.replace("y = x2", "y = x2 + a2*u")}
+
+
+def state_jet(model, params, state, order, u_jet=()):
+    """Oracle: values of every state derivative up to the given order along
+    the vector field (x^(k) by iterated substitution of the dynamics), as
+    floats. Each input needs its jet u, u', ..., u^(order-1) in u_jet."""
+    values = _param_vector(model, params)
+    ring, velocity = _lie_velocity(model, order)
+    index = _point_index(model, order)
+    vals = _point_values(model, state, u_jet, order, float)
+    out = {}
+    for s in model.states:
+        cur = Poly.var(ring, DiffVar(s, 0), model.nparams)
+        out[DiffVar(s, 0)] = compile_poly(cur, index, values)(vals)
+        for k in range(1, order + 1):
+            cur = cur.derivative(velocity)
+            out[DiffVar(s, k)] = compile_poly(cur, index, values)(vals)
+    return out

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -469,6 +470,21 @@ def test_divide_ring_mismatch():
     g = Poly(other, {(1,): 1}, n=1)
     with pytest.raises(RingMismatch):
         poly_divide(f, [g])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_paramrat_parampoly_mix(op):
+    """A ParamPoly operand of another parameter count is refused in either
+    order; of the same count it is read as a ParamRat in either order."""
+    r = ParamRat.gen(2, 0)
+    with pytest.raises(RingMismatch):
+        op(r, ParamPoly.gen(3, 0))
+    with pytest.raises(RingMismatch):
+        op(ParamPoly.gen(3, 0), r)
+    p = ParamPoly.gen(2, 1)
+    assert op(r, p) == op(r, ParamRat(p))
+    assert op(p, r) == op(ParamRat(p), r)
 
 
 def test_poly_rendering_roundtrip_shape():

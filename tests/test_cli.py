@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,6 +202,36 @@ def test_extend_command(tmp_path):
     text = (tmp_path / "extension.txt").read_text()
     assert "overall: Certified" in text
     assert "a5*a6 - a6" in text
+
+
+# Runs in a fresh interpreter: this test process has numpy loaded already.
+_COLD_START_PROBE = """
+import json, sys
+import paramvariety
+from paramvariety import cli
+models, out = sys.argv[1], sys.argv[2]
+for name in ("decay", "viral", "lotka_volterra", "virus_full"):
+    for command in ("ioeq", "extend"):
+        assert cli.main([command, "--model", f"{models}/{name}.model", "--out", out]) == 0
+exact_half = "numpy" in sys.modules
+assert cli.main(["variety", "--model", f"{models}/viral.model", "--out", out,
+                 "--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
+                 "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"]) == 0
+print(json.dumps([exact_half, "numpy" in sys.modules]))
+"""
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    """import paramvariety, ioeq and extend stay off numpy; the float path
+    (a variety run) loads it on its first call, which shows the probe sees
+    the import."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE, str(MODELS), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
 
 
 def test_sample_command_with_v(tmp_path):

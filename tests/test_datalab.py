@@ -15,7 +15,6 @@ from paramvariety.datalab import (
     jet_at,
     make_dataset,
     read_dataset,
-    state_jet,
     write_dataset,
     _rk4_kernel,
 )
@@ -27,6 +26,8 @@ from paramvariety.errors import (
     UsageError,
 )
 from paramvariety.model import load_model, parse_model
+
+from .helpers import state_jet
 
 SUBJECTS = {
     "1-H": dict(a4=0.0, a5=0.75, a7=6.9, t0=10 / 24, x3=4.1e6),

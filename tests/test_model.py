@@ -13,7 +13,7 @@ from paramvariety.model import (
     total_derivative,
 )
 
-from .helpers import input_model_texts, random_poly
+from .helpers import input_model_texts, random_poly, state_jet
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def test_prolong_nested(viral_model, lv_model, decay_model, virus_full_model):
 def test_generators_vanish_on_trajectory(viral_model):
     # evaluate every order-2 generator on the exact derivative jet of a
     # simulated trajectory
-    from paramvariety.datalab import integrate_model, jet_at, state_jet
+    from paramvariety.datalab import integrate_model, jet_at
 
     params = dict(a4=0.3, a5=0.9, a6=1.4, a7=5.0)
     x0 = [params["a7"] / params["a6"] * 2.0e5, 2.0e5]
