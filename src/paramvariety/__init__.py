@@ -8,7 +8,8 @@ data-consistent parameter, and runs the extension check certifying that no
 spurious parameters remain.
 
 The exact half (input-output equation, Groebner basis, extension check) is
-pure Python. numpy serves only the float half (pseudo-data, the coefficient
+pure Python, and each of its layers reads the jet ring off the polynomials
+it is given. numpy serves only the float half (pseudo-data, the coefficient
 solve, sampling) and is imported on the first float call, so importing the
 package, or running ``ioeq`` or ``extend``, does not load it.
 """
@@ -23,7 +24,6 @@ from .algebra import (
 )
 from .groebner import (
     GBLimits,
-    ReducedGB,
     buchberger,
     elimination_subset,
     reduce_basis,
@@ -35,7 +35,6 @@ from .model import (
     load_model,
     parse_model,
     prolong,
-    total_derivative,
 )
 from .ioeq import IOEquationBasis, derive_io_basis, normalize_io
 from .datalab import (
@@ -60,7 +59,6 @@ from .extension import (
     ExtensionReport,
     check_extension,
     extension_sets,
-    reconstruct_state_jet,
     run_extension_check,
 )
 

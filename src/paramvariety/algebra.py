@@ -43,15 +43,14 @@ This module is also the one place that differentiates and evaluates term
 dicts. ``Poly.derivative`` is the chain rule, a derivative along a vector
 field: the prolongation of ``model`` and the output push-forward of
 ``datalab`` are both such derivatives. ``dict_partial`` is the partial
-derivative of a term dict. ``ParamPoly.evaluate`` and ``ParamRat.evaluate``
-evaluate exactly at int/Fraction values and in floats at float values.
-Repeated numeric evaluation compiles first: a compiled term list holds one
-``(coef, ((pos, e), ...))`` per term, and one evaluation loop,
-``_term_evaluator``, walks it. ``compile_poly`` (a Poly at fixed parameter
-values, over ``compiled_terms``) and ``ParamPoly.compiled`` (a parameter
-polynomial with float coefficients: the Newton sampler of ``variety``) both
-return that loop, and ``terms_source`` (the expression source that the
-generated RK4 kernel of ``datalab`` is built from) spells out its
+derivative of a term dict. One evaluation loop, ``_term_evaluator``, walks
+a compiled term list, one ``(coef, ((pos, e), ...))`` per term. Every
+numeric evaluation runs it: ``ParamPoly.evaluate`` and ``ParamRat.evaluate``
+(exact at int/Fraction values, in floats at float values), ``compile_poly``
+(a Poly at fixed parameter values, over ``compiled_terms``) and
+``ParamPoly.compiled`` (a parameter polynomial with float coefficients: the
+Newton sampler of ``variety``). ``terms_source`` (the expression source
+that the generated RK4 kernel of ``datalab`` is built from) spells out its
 operations, so the float evaluation order is defined in one place. All
 values are immutable after construction, so they are safe to share between
 threads.
@@ -495,13 +494,8 @@ class ParamPoly:
         float value turns the coefficient it meets into a float, so float
         values give the terms and the sum of a float evaluation."""
         n = self.n
-        total = 0
-        for key, c in self.packed.items():
-            m = c
-            for i, e in exponents(key, n):
-                m *= values[i] ** e
-            total += m
-        return total
+        return _term_evaluator(
+            [(c, exponents(key, n)) for key, c in self.packed.items()], 0)(values)
 
     def compiled(self):
         """Float evaluator of this polynomial: ``_term_evaluator`` over its
@@ -931,16 +925,9 @@ class Poly:
 
     __slots__ = ("ring", "n", "packed")
 
-    def __init__(self, ring, terms=None, n=None, _checked=False):
+    def __init__(self, ring, terms=None, *, n, _checked=False):
         self.ring = ring
-        if n is not None:
-            self.n = n
-        else:
-            rats = [c for c in (terms or {}).values() if isinstance(c, ParamRat)]
-            if not rats:
-                raise ValueError("parameter count required when no ParamRat "
-                                 "coefficient is present")
-            self.n = rats[0].n
+        self.n = n
         if _checked:
             self.packed = terms or {}
             return
@@ -1196,8 +1183,8 @@ def _term_evaluator(terms, zero=0.0):
     the sum, seeded with zero, of the terms in list order, each its
     coefficient times its factors in list order (the value itself for
     exponent 1, the value ** e otherwise). It is the one numeric evaluation
-    loop of both layers: ``compile_poly`` (a Poly) and
-    ``ParamPoly.compiled`` (a ParamPoly) return it."""
+    loop of both layers: ``compile_poly`` (a Poly) and ``ParamPoly.compiled``
+    (a ParamPoly) return it, and ``ParamPoly.evaluate`` runs it."""
     def ev(vals):
         total = zero
         for m, factors in terms:

@@ -26,7 +26,7 @@ import random
 import sys
 
 from . import __version__
-from .algebra import ParamRat, Poly, exponents
+from .algebra import exponents
 from .datalab import check_assumptions, make_dataset, read_dataset, write_dataset
 from .errors import (
     EXIT_USAGE,
@@ -37,7 +37,7 @@ from .errors import (
     UsageError,
 )
 from .ioeq import derive_io_basis
-from .model import load_model, _ExprParser, _Tokens
+from .model import load_model, parse_param_expr
 from .extension import run_extension_check
 from .variety import (
     build_linear_system,
@@ -77,28 +77,28 @@ def _parse_assignments(text, what):
         if "=" not in piece:
             raise UsageError(f"bad {what} entry {piece!r}; expected name=value")
         name, value = piece.split("=", 1)
-        out[name.strip()] = value.strip()
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"{what}: {name!r} is given more than once")
+        out[name] = value.strip()
     return out
 
 
 def _eval_param_expr(state, text, model, params):
     """Evaluate the initial-condition expression of a state, which may use
     the parameters (like x2=(a7/a6)*4.1e6), at the given numeric point."""
-    n = model.nparams
-    ring = model.ring0()
-    symbols = {p: (lambda i=i: Poly.const(ring, ParamRat.gen(n, i)))
-               for i, p in enumerate(model.params)}
-    value = _ExprParser(_Tokens(text, 1), symbols, ring, n, 1).parse()
-    rat = value.packed.get(0)
-    if value.support_vars() or (rat is None and not value.is_zero):
-        raise UsageError(f"expression {text!r} must involve parameters only")
-    if rat is None:
-        return 0.0
+    rat = parse_param_expr(text, model.params)
     try:
-        return float(rat.evaluate([params[p] for p in model.params]))
+        value = float(rat.evaluate([params[p] for p in model.params]))
     except ZeroDivisionError:
         raise UsageError(f"--x0 {state}={text}: a denominator vanishes at the "
                          "given parameters") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"--x0 {state}={text}: the value is not a finite "
+                         "float at the given parameters")
+    return value
 
 
 def _number(text, what):
@@ -133,6 +133,9 @@ def _collect_x0(args, model, params):
         raise UsageError("missing --x0 name=expr,... (expressions may use the "
                          "parameters)")
     raw = _parse_assignments(args.x0, "--x0")
+    for name in raw:
+        if name not in model.states:
+            raise UsageError(f"unknown state {name!r}")
     x0 = []
     for s in model.states:
         if s not in raw:

@@ -11,12 +11,6 @@ equals the set of data-consistent parameters.
 Only that sufficient condition is decided automatically; a genuinely empty
 intersection in other situations needs radical membership and is reported
 as Undetermined with the P_j listed verbatim for manual analysis.
-
-Also provides the numeric counterpart: reconstructing the state jet at a
-data point from the basis' triangular elements, used to spot-check that
-certified variety points really extend to full solutions. Both halves read
-one grouping of the basis by leading variable (``_by_leading``) and one
-split of an element by powers of its leading variable (``_z_powers``).
 """
 
 from dataclasses import dataclass
@@ -104,10 +98,9 @@ def extension_sets(model, gb):
 def _by_leading(gb):
     """The basis ring and the basis elements grouped by their leading
     (highest-ranked) variable."""
-    basis = tuple(gb)
-    ring = basis[0].ring
+    ring = gb[0].ring
     by_leading = {}
-    for g in basis:
+    for g in gb:
         sup = g.support_vars()
         if sup:
             by_leading.setdefault(min(sup, key=ring.index.get), []).append(g)
@@ -177,60 +170,3 @@ def run_extension_check(model, gb):
     """extension_sets + check_extension with the model's own assumptions."""
     return check_extension(extension_sets(model, gb), model.assume_nonzero,
                            model.params)
-
-
-# ---------------------------------------------------------------------------
-# numeric state reconstruction (soundness spot-checks, matched re-integration)
-# ---------------------------------------------------------------------------
-
-def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
-    """Solve the basis' triangular elements numerically for the state jet.
-
-    jet_values maps output/input DiffVars to numbers at one time point;
-    parameters are fixed. Works from the lowest eliminated variable upward,
-    at each step solving the (univariate) element whose leading variable is
-    the one being reconstructed; multiple real roots are disambiguated
-    against the remaining candidates. Returns {DiffVar: value} for the state
-    jet up to the requested order (default: everything in the ring).
-    """
-    ring, by_leading = _by_leading(gb)
-    values = dict(jet_values)
-    pvec = [float(params[p]) for p in model.params]
-    state_names = set(model.states)
-    zvars = _state_jet_vars(model, ring)[::-1]
-    if up_to_order is not None:
-        zvars = [v for v in zvars if v.order <= up_to_order]
-
-    for z in zvars:
-        cands = by_leading.get(z)
-        if not cands:
-            raise MissingLeading(f"no triangular element determines {z}")
-        cands = sorted(cands, key=lambda g: g.degree_in(z))
-        g = cands[0]
-        roots = _univariate_roots(g, z, values, pvec)
-        if not roots:
-            raise ArithmeticError(f"no real root while reconstructing {z}")
-        if len(roots) > 1 and len(cands) > 1:
-            def residual(r):
-                trial = dict(values)
-                trial[z] = r
-                return max(abs(h.evaluate(trial, pvec)) for h in cands[1:])
-            roots.sort(key=residual)
-        values[z] = roots[0]
-    return {v: values[v] for v in values if v.base in state_names}
-
-
-def _univariate_roots(g, z, values, pvec):
-    """Real roots in z of g with every other variable set from values."""
-    import numpy as np
-
-    d = g.degree_in(z)
-    coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
-              for t in _z_powers(g.packed, g.ring, z, d)]
-    if d == 1:
-        if coeffs[0] == 0.0:
-            return []
-        return [-coeffs[1] / coeffs[0]]
-    roots = np.roots(coeffs)
-    scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
-    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)

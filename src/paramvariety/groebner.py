@@ -1,28 +1,18 @@
 """Buchberger's algorithm, reduced Groebner bases, and elimination subsets.
 
 The coefficient field is the rational functions in the model parameters
-(ParamRat); parameters are never ring variables. Everything is deterministic:
-the same generators in any order produce the same reduced basis.
+(ParamRat); parameters are never ring variables. A basis is a sequence of
+Polys, and each function reads the ring, lex order included, off them.
+Everything is deterministic: the same generators in any order produce the
+same reduced basis.
 """
 
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .algebra import MonomialOrder, divides, mono_lcm, poly_divide
+from .algebra import divides, mono_lcm, poly_divide
 from .errors import RingMismatch, ResourceExhausted, UsageError, ZeroPolynomial
-
-
-@dataclass(frozen=True)
-class ReducedGB:
-    basis: tuple
-    order: MonomialOrder
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __len__(self):
-        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,9 @@ def reduce_poly(p, basis):
     return poly_divide(p, basis)[1]
 
 
-def buchberger(gens, order=None, limits=None, seed=()):
+def buchberger(gens, limits=None, seed=()):
     """Groebner basis of the ideal generated by a list of polynomials and,
-    when given, a seed.
+    when given, a seed, over the ring of the first generator.
 
     seed is a list of monic polynomials that already form a Groebner basis
     over the same ring: it opens the basis, every pair among its elements
@@ -93,15 +83,14 @@ def buchberger(gens, order=None, limits=None, seed=()):
     gens = list(gens)
     if not gens:
         raise ValueError("empty generator list")
-    if order is None:
-        order = gens[0].ring
+    ring = gens[0].ring
     limits = limits or GBLimits.from_env()
     basis = list(seed)
     n_seed = len(basis)
-    if any(g.ring != order for g in basis):
+    if any(g.ring != ring for g in basis):
         raise RingMismatch("seed lives in a different ring")
     for g in gens:
-        if g.ring != order:
+        if g.ring != ring:
             raise RingMismatch("generator lives in a different ring")
         if g.is_zero:
             raise ZeroPolynomial("zero polynomial among the ideal generators")
@@ -112,7 +101,7 @@ def buchberger(gens, order=None, limits=None, seed=()):
     lms = [g.leading_term()[0] for g in basis]
     pairs = []
     done = {(i, j) for j in range(n_seed) for i in range(j)}
-    guard = order.guard
+    guard = ring.guard
 
     def add_pairs(j):
         for i in range(j):
@@ -157,13 +146,12 @@ def buchberger(gens, order=None, limits=None, seed=()):
     return basis
 
 
-def reduce_basis(gb, order=None):
+def reduce_basis(gb):
     """The unique reduced Groebner basis of the ideal spanned by a Groebner
-    basis: monic, inter-reduced, sorted ascending by leading monomial."""
+    basis, as a tuple over the basis' ring: monic, inter-reduced, sorted
+    ascending by leading monomial."""
     if not gb:
         raise ValueError("empty basis")
-    if order is None:
-        order = gb[0].ring
     # minimalize: drop elements whose leading monomial another one divides
     polys = sorted((g.monic() for g in gb if not g.is_zero),
                    key=lambda g: g.leading_term()[0])
@@ -181,20 +169,16 @@ def reduce_basis(gb, order=None):
     # and with them the ascending order, do not change.
     for i, g in enumerate(minimal):
         minimal[i] = reduce_poly(g, minimal[:i]).monic()
-    return ReducedGB(tuple(minimal), order)
+    return tuple(minimal)
 
 
 def elimination_subset(gb, keep):
-    """Elements of a Groebner basis supported on the keep variables only.
+    """Elements of a nonempty Groebner basis, a sequence of Polys over one
+    ring, supported on the keep variables only.
 
-    keep must be a downward-closed suffix of the variable order; by the
-    elimination theorem the result is a Groebner basis of the elimination
-    ideal."""
-    if isinstance(gb, ReducedGB):
-        order, basis = gb.order, gb.basis
-    else:
-        basis = tuple(gb)
-        order = basis[0].ring
-    order.suffix_start(keep)
+    keep must be a downward-closed suffix of the variable order of the
+    basis' ring; by the elimination theorem the result is a Groebner basis
+    of the elimination ideal."""
+    gb[0].ring.suffix_start(keep)
     keep = set(keep)
-    return [g for g in basis if g.uses_only(keep)]
+    return [g for g in gb if g.uses_only(keep)]

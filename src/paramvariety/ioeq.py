@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from .algebra import MonomialOrder, Poly, render_monomial
 from .errors import InternalError, MultipleIOEquations, NoParameterDependence
-from .groebner import ReducedGB, buchberger, elimination_subset, reduce_basis
+from .groebner import buchberger, elimination_subset, reduce_basis
 from .model import prolong
 
 
@@ -30,9 +30,9 @@ class IOEquationBasis:
     lex order with their rational-function coefficients; rhs collects the
     parameter-free part with its sign flipped, mirroring the
     'sum c_l f_l = rhs' layout. full is the monic state-free polynomial
-    itself: full == sum(c_l * f_l) - rhs. gb is the reduced Groebner basis
-    of the order-L prolongation it was eliminated from (None when the
-    equation was normalized from a bare polynomial); the extension check
+    itself: full == sum(c_l * f_l) - rhs. gb is the reduced Groebner basis,
+    a tuple, of the order-L prolongation it was eliminated from (None when
+    the equation was normalized from a bare polynomial); the extension check
     runs on it.
     """
 
@@ -43,9 +43,9 @@ class IOEquationBasis:
     rhs: Poly
     full: Poly
     param_names: tuple
-    output_name: str = "y"
+    output_name: str
     input_names: tuple = ()
-    gb: ReducedGB = field(default=None, compare=False, repr=False)
+    gb: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def n_coeffs(self):
@@ -82,12 +82,11 @@ def derive_io_basis(model):
     gb = []
     for i in range(1, model.nstates + 1):
         psys = prolong(model, i)
-        gb = buchberger(psys.new, psys.ring,
-                        seed=[g.rering(psys.ring) for g in gb])
+        gb = buchberger(psys.new, seed=[g.rering(psys.ring) for g in gb])
         keep = [v for v in psys.ring.vars
                 if v.base == model.output or v.base in model.inputs]
         if elimination_subset(gb, keep):
-            rgb = reduce_basis(gb, psys.ring)
+            rgb = reduce_basis(gb)
             subset = elimination_subset(rgb, keep)
             if len(subset) > 1:
                 raise MultipleIOEquations(
@@ -95,8 +94,7 @@ def derive_io_basis(model):
                     "theory expects exactly one for a scalar output")
             # keep is a suffix of the lex order, so rering keeps its order
             h = subset[0].rering(MonomialOrder(keep))
-            basis = normalize_io(h, L=i, param_names=model.params,
-                                 output_name=model.output,
+            basis = normalize_io(h, param_names=model.params,
                                  input_names=model.inputs)
             return replace(basis, gb=rgb)
     raise InternalError(
@@ -104,21 +102,19 @@ def derive_io_basis(model):
         "the termination bound and signals a bug")
 
 
-def normalize_io(p, L=None, param_names=None, output_name=None, input_names=()):
+def normalize_io(p, param_names=None, input_names=()):
     """Normalize a state-free polynomial into an IOEquationBasis.
 
     p is scaled monic in its lex leading monomial; terms whose coefficients
     are parameter-free move to the right-hand side with flipped sign, the
-    rest become (monos, coeffs) in ascending lex order.
+    rest become (monos, coeffs) in ascending lex order. p's ring is the
+    output jet, highest first, then the input jet: its first variable names
+    the output and L is its top derivative order.
     """
     if p.is_zero:
         raise ValueError("cannot normalize the zero polynomial")
     if param_names is None:
         param_names = tuple(f"a{i + 1}" for i in range(p.n))
-    if output_name is None:
-        output_name = p.ring.vars[0].base
-    if L is None:
-        L = max(v.order for v in p.ring.vars)
     p = p.monic()
     monos = []
     coeffs = []
@@ -136,13 +132,13 @@ def normalize_io(p, L=None, param_names=None, output_name=None, input_names=()):
             "the data imposes no constraint on the parameters")
     rhs = Poly(p.ring, rhs_terms, n=p.n, _checked=True)
     return IOEquationBasis(
-        L=L,
+        L=max(v.order for v in p.ring.vars),
         ring=p.ring,
         monos=tuple(monos),
         coeffs=tuple(coeffs),
         rhs=rhs,
         full=p,
         param_names=tuple(param_names),
-        output_name=output_name,
+        output_name=p.ring.vars[0].base,
         input_names=tuple(input_names),
     )

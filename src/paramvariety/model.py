@@ -89,13 +89,12 @@ def _ring0(states, inputs):
     return MonomialOrder(vars)
 
 
-def jet_ring(model, i, u_order=None):
+def jet_ring(model, i):
     """Lex jet ring at prolongation order i: state jet (level descending,
     later-declared state first within a level), then the output jet, then
-    the input jet up to u_order (default i-1; i when the output reads an
-    input, so its i-th derivative stays inside the ring)."""
-    if u_order is None:
-        u_order = i if model.output_uses_inputs() else i - 1
+    the input jet up to order i - 1 (i when the output reads an input, so
+    its i-th derivative stays inside the ring)."""
+    input_order = i if model.output_uses_inputs() else i - 1
     vars = []
     for k in range(i, -1, -1):
         for s in reversed(model.states):
@@ -103,7 +102,7 @@ def jet_ring(model, i, u_order=None):
     for k in range(i, -1, -1):
         vars.append(DiffVar(model.output, k))
     if model.inputs:
-        for k in range(u_order, -1, -1):
+        for k in range(input_order, -1, -1):
             for u in reversed(model.inputs):
                 vars.append(DiffVar(u, k))
     return MonomialOrder(vars)
@@ -237,6 +236,18 @@ class _ExprParser:
                                col or 1)
 
 
+def parse_param_expr(text, params, line=1):
+    """The ParamRat value of an expression in the parameters alone (an
+    assume_nonzero entry, an initial value on the command line); any other
+    symbol raises UndeclaredSymbol."""
+    n = len(params)
+    ring = MonomialOrder(())
+    symbols = {p: (lambda i=i: Poly.const(ring, ParamRat.gen(n, i)))
+               for i, p in enumerate(params)}
+    value = _ExprParser(_Tokens(text, line), symbols, ring, n, line).parse()
+    return value.packed.get(0, ParamRat.zero(n))
+
+
 _SECTION = re.compile(r"^(states|inputs|output|params|assume_nonzero|horizon)\s*:\s*(.*)$")
 _STATE_EQ = re.compile(r"^d([A-Za-z_]\w*)\s*/\s*dt\s*=\s*(.*)$")
 _OUT_EQ = re.compile(r"^([A-Za-z_]\w*)\s*=\s*(.*)$")
@@ -318,12 +329,8 @@ def parse_model(text):
     for s in list(states) + list(inputs):
         symbols[s] = (lambda s=s: Poly.var(ring, DiffVar(s, 0), n))
 
-    def parse_expr(text_, lineno, allow=None):
-        table = dict(symbols)
-        if allow is not None:
-            table = {k: v for k, v in table.items() if k in allow}
-        parser = _ExprParser(_Tokens(text_, lineno), table, ring, n, lineno)
-        return parser.parse()
+    def parse_expr(text_, lineno):
+        return _ExprParser(_Tokens(text_, lineno), symbols, ring, n, lineno).parse()
 
     f = {}
     g = None
@@ -356,14 +363,10 @@ def parse_model(text):
             piece = piece.strip()
             if not piece:
                 continue
-            value = parse_expr(piece, lineno, allow=set(params))
-            if value.is_zero:
+            rat = parse_param_expr(piece, params, lineno)
+            if rat.is_zero:
                 raise ModelSyntaxError("assume_nonzero entry is identically zero",
                                        lineno)
-            rat = value.packed.get(0)
-            if value.support_vars() or rat is None:
-                raise ModelSyntaxError(
-                    "assume_nonzero entries must involve parameters only", lineno)
             # c = num/den is nonzero exactly when its numerator is
             assumptions.append(rat.num.primitive())
 
@@ -394,21 +397,6 @@ def _raise_orders(ring, n):
     are constants."""
     return {v: Poly.var(ring, v.raised(), n) for v in ring.vars
             if v.raised() in ring}
-
-
-def total_derivative(p, model):
-    """Formal Leibniz derivative of p; no substitution of the model's f is
-    performed. The result lives in a jet ring just large enough for it."""
-    max_state = max((v.order for v in p.support_vars()
-                     if v.base != model.output and v.base not in model.inputs),
-                    default=0)
-    max_out = max((v.order for v in p.support_vars() if v.base == model.output),
-                  default=0)
-    max_in = max((v.order for v in p.support_vars() if v.base in model.inputs),
-                 default=-1)
-    i = max(max_state, max_out) + 1
-    ring = jet_ring(model, i, u_order=max(i - 1, max_in + 1))
-    return p.rering(ring).derivative(_raise_orders(ring, p.n))
 
 
 def prolong(model, order):

@@ -3,8 +3,12 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly, compile_poly
 from paramvariety.datalab import _lie_velocity, _param_vector, _point_index, _point_values
+from paramvariety.errors import MissingLeading
+from paramvariety.extension import _by_leading, _state_jet_vars, _z_powers
 
 from .conftest import MODELS
 
@@ -141,3 +145,55 @@ def state_jet(model, params, state, order, u_jet=()):
             cur = cur.derivative(velocity)
             out[DiffVar(s, k)] = compile_poly(cur, index, values)(vals)
     return out
+
+
+def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
+    """Solve the basis' triangular elements numerically for the state jet,
+    to spot-check that certified variety points extend to full solutions.
+
+    jet_values maps output/input DiffVars to numbers at one time point;
+    parameters are fixed. Works from the lowest eliminated variable upward,
+    at each step solving the (univariate) element whose leading variable is
+    the one being reconstructed; multiple real roots are disambiguated
+    against the remaining candidates. Returns {DiffVar: value} for the state
+    jet up to the requested order (default: everything in the ring).
+    """
+    ring, by_leading = _by_leading(gb)
+    values = dict(jet_values)
+    pvec = [float(params[p]) for p in model.params]
+    state_names = set(model.states)
+    zvars = _state_jet_vars(model, ring)[::-1]
+    if up_to_order is not None:
+        zvars = [v for v in zvars if v.order <= up_to_order]
+
+    for z in zvars:
+        cands = by_leading.get(z)
+        if not cands:
+            raise MissingLeading(f"no triangular element determines {z}")
+        cands = sorted(cands, key=lambda g: g.degree_in(z))
+        g = cands[0]
+        roots = _univariate_roots(g, z, values, pvec)
+        if not roots:
+            raise ArithmeticError(f"no real root while reconstructing {z}")
+        if len(roots) > 1 and len(cands) > 1:
+            def residual(r):
+                trial = dict(values)
+                trial[z] = r
+                return max(abs(h.evaluate(trial, pvec)) for h in cands[1:])
+            roots.sort(key=residual)
+        values[z] = roots[0]
+    return {v: values[v] for v in values if v.base in state_names}
+
+
+def _univariate_roots(g, z, values, pvec):
+    """Real roots in z of g with every other variable set from values."""
+    d = g.degree_in(z)
+    coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
+              for t in _z_powers(g.packed, g.ring, z, d)]
+    if d == 1:
+        if coeffs[0] == 0.0:
+            return []
+        return [-coeffs[1] / coeffs[0]]
+    roots = np.roots(coeffs)
+    scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
+    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)

@@ -12,6 +12,8 @@ from paramvariety.cli import build_parser, main
 MODELS = Path(__file__).resolve().parent.parent / "models"
 VIRAL = str(MODELS / "viral.model")
 DECAY = str(MODELS / "decay.model")
+STATE_ASSUMED = str(Path(__file__).resolve().parent / "data"
+                    / "state_assumed_nonzero.model")
 
 GEN_2D = [
     "--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
@@ -326,13 +328,24 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
      "--ranges", "a4=5.76:0,a5=0:1,a7=0:8"],
     ["sample", "--v", "0.8512,5.76", "--samples", "4", "--free", "a4,a4",
      *VIRAL_RANGES],
+    ["variety", "--params", "a4=0.5,a5=0.3,a6=1.2,a7=0.8",
+     "--x0", "x2=1,x3=2,x9=5"],
+    ["variety", "--params", "a4=0.5,a4=0.7,a5=0.3,a6=1.2,a7=0.8",
+     "--x0", "x2=1,x3=2"],
+    ["variety", "--params", "a4=0.5,a5=0.3,a6=1.2,a7=0.8",
+     "--x0", "x2=1,x2=3,x3=2"],
+    ["sample", *VIRAL_SAMPLE, "--ranges", "a4=0:5.76,a5=0:1,a7=0:8,a4=0:1"],
+    ["variety", "--params", "a4=0.5,a5=0.3,a6=1.2,a7=0.8",
+     "--x0", "x2=2*x3,x3=2"],
+    ["ioeq", "--model", STATE_ASSUMED],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
         "missing-x0", "missing-ranges", "bad-v-count", "bad-v-value",
         "bad-axes", "zero-n-times", "closed-form-wrong-model",
         "negative-samples", "sample-without-samples", "variety-negative-samples",
-        "reversed-range", "repeated-free"])
+        "reversed-range", "repeated-free", "unknown-x0-state", "repeated-param",
+        "repeated-x0", "repeated-range", "state-in-x0", "state-in-assumption"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2
@@ -359,6 +372,20 @@ def test_vanishing_x0_denominator_exits_usage(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --x0 x1=(a4*a7)/(a3*a6): ")
+
+
+@pytest.mark.parametrize("params, x0", [
+    ("a4=0.5,a5=0.3,a6=1.2,a7=0.8", "x2=1e308*10,x3=2"),
+    ("a4=1e10,a5=0.3,a6=1.2,a7=0.8", "x2=a4^400,x3=2"),
+    ("a4=10,a5=0.3,a6=1.2,a7=0.8", "x2=a4*1e308,x3=2"),
+], ids=["exact-constant", "float-power", "float-product"])
+def test_overflowing_x0_exits_usage(tmp_path, capsys, params, x0):
+    # the exact constant and the power raise OverflowError, the product
+    # rounds to inf; each is an --x0 value no float holds
+    code = _run("variety", "--model", VIRAL, "--params", params, "--x0", x0,
+                "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --x0 {x0.split(',')[0]}: ")
 
 
 @pytest.mark.parametrize("name, value", [

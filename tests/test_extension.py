@@ -24,7 +24,6 @@ from paramvariety.extension import (
     check_extension,
     extension_sets,
     is_unit_under,
-    reconstruct_state_jet,
     run_extension_check,
 )
 from paramvariety.groebner import buchberger, reduce_basis
@@ -32,12 +31,12 @@ from paramvariety.ioeq import derive_io_basis
 from paramvariety.model import load_model, parse_model, prolong
 
 from .conftest import MODELS
-from .helpers import derive_inputs, pp, random_poly, xy_ring
+from .helpers import derive_inputs, pp, random_poly, reconstruct_state_jet, xy_ring
 
 
 def _reduced(model, order):
     psys = prolong(model, order)
-    return psys, reduce_basis(buchberger(psys.gens, psys.ring), psys.ring)
+    return psys, reduce_basis(buchberger(psys.gens))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_quadratic_state_linear_observation():
     y1 = Poly.var(ring, DiffVar("y", 1), n)
     x1 = Poly.var(ring, DiffVar("x1", 0), n)
     x1d = Poly.var(ring, DiffVar("x1", 1), n)
-    assert list(rgb.basis) == [
+    assert list(rgb) == [
         y1 - (y * y).scale(a1),
         x1 - y,
         x1d - (y * y).scale(a1),

@@ -93,11 +93,11 @@ def test_empty_generator_list_rejected():
 def test_viral_basis_contains_io_element(viral_model, viral_rgb):
     from paramvariety.algebra import DiffVar
     yvars = {DiffVar("y", k) for k in range(3)}
-    iofree = [g for g in viral_rgb.basis if g.uses_only(yvars)]
+    iofree = [g for g in viral_rgb if g.uses_only(yvars)]
     assert len(iofree) == 1
     # y'' + (a4 + a7) y' + a4 a5 a7 y, built independently
     n = 4
-    ring = viral_rgb.order
+    ring = viral_rgb[0].ring
     a4, a5, a7 = ParamRat.gen(n, 0), ParamRat.gen(n, 1), ParamRat.gen(n, 3)
     expected = (Poly.var(ring, DiffVar("y", 2), n)
                 + Poly.var(ring, DiffVar("y", 1), n).scale(a4 + a7)
@@ -107,7 +107,7 @@ def test_viral_basis_contains_io_element(viral_model, viral_rgb):
 
 def test_lv_basis_contains_y_only_element(lv_rgb):
     yvars = {DiffVar("y", k) for k in range(3)}
-    iofree = [g for g in lv_rgb.basis if g.uses_only(yvars)]
+    iofree = [g for g in lv_rgb if g.uses_only(yvars)]
     assert len(iofree) == 1
     assert len(lv_rgb) == 8
 
@@ -211,10 +211,10 @@ def test_pair_queue_matches_min_scan():
         for i in range(1, derive_io_basis(model).L + 1):
             psys = prolong(model, i)
             ref, _ = _min_scan_buchberger(psys.gens, unlimited)
-            gb = buchberger(psys.gens, psys.ring, limits=unlimited)
+            gb = buchberger(psys.gens, limits=unlimited)
             assert _dump(gb) == _dump(ref), (label, i)
-            assert (_dump(reduce_basis(gb, psys.ring))
-                    == _dump(reduce_basis(ref, psys.ring))), (label, i)
+            assert (_dump(reduce_basis(gb))
+                    == _dump(reduce_basis(ref))), (label, i)
             checked += 1
     assert checked == 39
     # the pair cap counts popped pairs: both raise at the same pop, with the
@@ -229,9 +229,9 @@ def test_pair_queue_matches_min_scan():
             with pytest.raises(ResourceExhausted) as ref:
                 _min_scan_buchberger(psys.gens, limits)
             with pytest.raises(ResourceExhausted) as got:
-                buchberger(psys.gens, psys.ring, limits=limits)
+                buchberger(psys.gens, limits=limits)
             assert str(got.value) == str(ref.value)
-        buchberger(psys.gens, psys.ring, limits=GBLimits(max_pairs=popped))
+        buchberger(psys.gens, limits=GBLimits(max_pairs=popped))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def test_redundant_generator_removed():
     g = _p(ring, 1, {(1, 0, 0): 2, (0, 1, 0): -2})       # 2x - 2y
     rgb = reduce_basis(buchberger([f, g]))
     assert len(rgb) == 1
-    assert rgb.basis[0] == f
+    assert rgb[0] == f
 
 
 @pytest.fixture(scope="module")
@@ -254,24 +254,24 @@ def reduced_bases(viral_rgb, lv_rgb):
     minimal nor reduced)."""
     bases = [viral_rgb, lv_rgb]
     bases += [derive_io_basis(parse_model(chain_text(n))).gb for n in (2, 3, 4)]
-    bases += [reduce_basis(buchberger(gens, ring), ring)
+    bases += [reduce_basis(buchberger(gens))
               for ring, gens in _random_ideals(seed=5, count=15)]
     return bases
 
 
 def test_reduce_idempotent(reduced_bases):
     for rgb in reduced_bases:
-        again = reduce_basis(list(rgb.basis), rgb.order)
-        assert list(again.basis) == list(rgb.basis)
+        again = reduce_basis(list(rgb))
+        assert list(again) == list(rgb)
 
 
 def test_reduced_invariants(reduced_bases):
     for rgb in reduced_bases:
-        lms = [g.leading_term()[0] for g in rgb.basis]
+        lms = [g.leading_term()[0] for g in rgb]
         assert lms == sorted(lms)
-        lms = [rgb.order.unpack(lm) for lm in lms]
+        lms = [rgb[0].ring.unpack(lm) for lm in lms]
         assert lms == sorted(lms)
-        for i, g in enumerate(rgb.basis):
+        for i, g in enumerate(rgb):
             assert g.leading_term()[1].is_one
             for j, lm in enumerate(lms):
                 if i == j:
@@ -287,7 +287,7 @@ def test_viral_reduced_basis_shape(viral_model, viral_rgb):
     from paramvariety.algebra import clear_denominators
     n = 4
     factor = {(0, 1, 1, 0): 1, (0, 0, 1, 0): -1}  # a5*a6 - a6
-    state_elems = [g for g in viral_rgb.basis
+    state_elems = [g for g in viral_rgb
                    if any(v.base in ("x2",) for v in g.support_vars())]
     assert len(state_elems) == 3
     for g in state_elems:
@@ -301,7 +301,7 @@ def test_viral_reduced_basis_shape(viral_model, viral_rgb):
 # ---------------------------------------------------------------------------
 
 def test_elimination_keep_all(viral_rgb):
-    assert elimination_subset(viral_rgb, viral_rgb.order.vars) == list(viral_rgb.basis)
+    assert elimination_subset(viral_rgb, viral_rgb[0].ring.vars) == list(viral_rgb)
 
 
 def test_elimination_keep_none(viral_rgb):
@@ -310,7 +310,7 @@ def test_elimination_keep_none(viral_rgb):
 
 def test_elimination_requires_suffix(viral_rgb):
     with pytest.raises(InvalidBlock):
-        elimination_subset(viral_rgb, [viral_rgb.order.vars[0]])
+        elimination_subset(viral_rgb, [viral_rgb[0].ring.vars[0]])
 
 
 def test_elimination_viral_io(viral_rgb):
@@ -341,7 +341,7 @@ def _random_ideals(seed, count, nvars=3):
 def test_engine_oracle_properties():
     checked = 0
     for ring, gens in _random_ideals(seed=42, count=25):
-        basis = buchberger(gens, ring)
+        basis = buchberger(gens)
         # every input generator reduces to zero
         for g in gens:
             _, rem = poly_divide(g, basis)
@@ -355,14 +355,14 @@ def test_engine_oracle_properties():
 
 def test_reduced_basis_permutation_invariance():
     for ring, gens in _random_ideals(seed=7, count=10):
-        ref = reduce_basis(buchberger(gens, ring), ring)
+        ref = reduce_basis(buchberger(gens))
         rng = random.Random(1)
         for _ in range(3):
             shuffled = list(gens)
             rng.shuffle(shuffled)
-            other = reduce_basis(buchberger(shuffled, ring), ring)
+            other = reduce_basis(buchberger(shuffled))
             assert len(other) == len(ref)
-            for a, b in zip(ref.basis, other.basis):
+            for a, b in zip(ref, other):
                 assert a == b
 
 
@@ -373,28 +373,28 @@ def test_seed_extends_a_groebner_basis():
     for ring, gens in _random_ideals(seed=5, count=15):
         if len(gens) < 2:
             continue
-        ref = reduce_basis(buchberger(gens, ring), ring)
-        seed = buchberger(gens[:-1], ring)
-        grown = buchberger(gens[-1:], ring, seed=seed)
+        ref = reduce_basis(buchberger(gens))
+        seed = buchberger(gens[:-1])
+        grown = buchberger(gens[-1:], seed=seed)
         assert grown[:len(seed)] == seed
-        assert [repr(g) for g in reduce_basis(grown, ring)] == [repr(g) for g in ref]
+        assert [repr(g) for g in reduce_basis(grown)] == [repr(g) for g in ref]
         checked += 1
     assert checked == 14
     other = MonomialOrder([DiffVar("w", 0)])
     with pytest.raises(RingMismatch):
-        buchberger(gens, ring, seed=[Poly.var(other, DiffVar("w", 0), 2)])
+        buchberger(gens, seed=[Poly.var(other, DiffVar("w", 0), 2)])
 
 
 def test_elimination_members_in_ideal():
     # elimination-subset elements belong to the original ideal: they reduce
     # to zero against the full basis
     for ring, gens in _random_ideals(seed=13, count=15):
-        rgb = reduce_basis(buchberger(gens, ring), ring)
+        rgb = reduce_basis(buchberger(gens))
         for k in range(len(ring.vars) + 1):
             keep = ring.vars[k:]
             for g in elimination_subset(rgb, keep):
                 assert g.uses_only(set(keep))
-                _, rem = poly_divide(g, list(rgb.basis))
+                _, rem = poly_divide(g, list(rgb))
                 assert rem.is_zero
 
 
@@ -403,7 +403,7 @@ def test_coprime_criterion_preserves_basis():
     # basis: compare against a run with the criterion disabled
     import paramvariety.groebner as G
 
-    def buchberger_no_criteria(gens, order):
+    def buchberger_no_criteria(gens):
         basis = [g.monic() for g in gens]
         pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
         while pairs:
@@ -415,9 +415,9 @@ def test_coprime_criterion_preserves_basis():
         return basis
 
     for ring, gens in _random_ideals(seed=21, count=8):
-        fast = reduce_basis(buchberger(gens, ring), ring)
-        slow = reduce_basis(buchberger_no_criteria(gens, ring), ring)
+        fast = reduce_basis(buchberger(gens))
+        slow = reduce_basis(buchberger_no_criteria(gens))
         assert len(fast) == len(slow)
-        for a, b in zip(fast.basis, slow.basis):
+        for a, b in zip(fast, slow):
             assert a == b
 

@@ -6,12 +6,7 @@ from paramvariety.errors import (
     NonPolynomialModel,
     UndeclaredSymbol,
 )
-from paramvariety.model import (
-    jet_ring,
-    parse_model,
-    prolong,
-    total_derivative,
-)
+from paramvariety.model import _raise_orders, jet_ring, parse_model, prolong
 
 from .helpers import input_model_texts, random_poly, state_jet
 
@@ -160,6 +155,14 @@ y = x1
 # ---------------------------------------------------------------------------
 # total derivative
 # ---------------------------------------------------------------------------
+
+def total_derivative(p, model):
+    """The formal total derivative of a Poly over the order-1 jet ring: its
+    derivative, over the order-2 ring, along the vector field v -> v' that
+    prolong differentiates along."""
+    ring = jet_ring(model, 2)
+    return p.rering(ring).derivative(_raise_orders(ring, p.n))
+
 
 def test_derivative_of_output_equation(lv_model):
     # d/dt (y - x1) = y' - x1'
