@@ -40,14 +40,16 @@ the package every layer works on the packed dict, ``.packed``.
 
 Floating point is forbidden in the arithmetic; every operation is exact.
 This module is also the one place that differentiates and evaluates term
-dicts. ``Poly.derivative`` is the chain rule, a derivative along a vector
-field: the prolongation of ``model`` and the output push-forward of
-``datalab`` are both such derivatives. ``dict_partial`` is the partial
+dicts. ``dict_derivative`` is the chain rule, a derivative along a vector
+field: ``Poly.derivative`` runs it for the prolongation of ``model``, and
+the output push-forward of ``datalab`` runs it on term dicts over Q, the
+model at fixed parameter values. ``dict_partial`` is the partial
 derivative of a term dict. One evaluation loop, ``_term_evaluator``, walks
 a compiled term list, one ``(coef, ((pos, e), ...))`` per term. Every
 numeric evaluation runs it: ``ParamPoly.evaluate`` and ``ParamRat.evaluate``
 (exact at int/Fraction values, in floats at float values), ``compile_poly``
-(a Poly at fixed parameter values, over ``compiled_terms``) and
+(a Poly at fixed parameter values, over ``compiled_terms``),
+``compile_exact`` (a term dict over Q: the push-forward jets) and
 ``ParamPoly.compiled`` (a parameter polynomial with float coefficients: the
 Newton sampler of ``variety``). ``terms_source`` (the expression source
 that the generated RK4 kernel of ``datalab`` is built from) spells out its
@@ -312,6 +314,25 @@ def dict_partial(A, i, n):
     shift = FIELD * (n - 1 - i)
     unit = 1 << shift
     return {k - unit: v * e for k, v in A.items() if (e := (k >> shift) & _MASK)}
+
+
+def dict_derivative(A, velocity):
+    """Derivative of a term dict along a vector field, the chain rule: the
+    sum over the variables i of dA/dx_i * velocity[i]. velocity lists one
+    term dict per variable of the ring, in ring order, or None for a
+    variable that is constant along the field. Terms are walked in dict
+    order and, within a term, the variables in ring order, which fixes the
+    term order of the result. It needs only the coefficient arithmetic, so
+    it serves ParamRat coefficients (``Poly.derivative``) and exact
+    rationals alike."""
+    n = len(velocity)
+    out = {}
+    for key, c in A.items():
+        for i, e in exponents(key, n):
+            w = velocity[i]
+            if w is not None:
+                dict_axpy(out, c * e, key - (1 << FIELD * (n - 1 - i)), w)
+    return out
 
 
 def _integer_primitive(*term_dicts):
@@ -1078,20 +1099,12 @@ class Poly:
     # -- calculus / ring moves
 
     def derivative(self, velocity):
-        """Derivative along a vector field (the chain rule): the sum over the
-        ring variables v of dp/dv * velocity[v], where velocity maps a
-        variable to a Poly over this ring and a variable it omits is
-        constant. Terms are walked in dict order and, within a term, the
-        variables in ring order, which fixes the term order of the result."""
-        ring_vars, shifts = self.ring.vars, self.ring.shifts
-        n = len(ring_vars)
-        out = {}
-        for key, c in self.packed.items():
-            for i, e in exponents(key, n):
-                v = ring_vars[i]
-                if v in velocity:
-                    dict_axpy(out, c * e, key - (1 << shifts[i]), velocity[v].packed)
-        return Poly(self.ring, out, n=self.n, _checked=True)
+        """Derivative along a vector field (the chain rule,
+        ``dict_derivative``): velocity maps a variable to a Poly over this
+        ring, and a variable it omits is constant."""
+        field = [velocity[v].packed if v in velocity else None for v in self.ring.vars]
+        return Poly(self.ring, dict_derivative(self.packed, field), n=self.n,
+                    _checked=True)
 
     def rering(self, new_ring):
         """Rebuild over another variable order; raises UnknownVariable if a
@@ -1157,12 +1170,15 @@ def compiled_terms(p, index, values, exact=False):
     that index gives the variable in the caller's value vector. The
     coefficients are Fractions with exact=True (values must then be ints or
     Fractions) and floats otherwise."""
-    ring_vars = p.ring.vars
-    n = len(ring_vars)
     conv = Fraction if exact else float
-    return [(conv(c.evaluate(values)),
-             tuple((index[ring_vars[i]], e) for i, e in exponents(key, n)))
-            for key, c in p.packed.items()]
+    return _term_list({key: conv(c.evaluate(values)) for key, c in p.packed.items()},
+                      p.ring.vars, index)
+
+
+def _term_list(terms, ring_vars, index):
+    n = len(ring_vars)
+    return [(c, tuple((index[ring_vars[i]], e) for i, e in exponents(key, n)))
+            for key, c in terms.items()]
 
 
 def compile_poly(p, index, values, exact=False):
@@ -1176,6 +1192,14 @@ def compile_poly(p, index, values, exact=False):
     Fractions, so Fraction inputs give the exact value."""
     return _term_evaluator(compiled_terms(p, index, values, exact),
                           Fraction(0) if exact else 0.0)
+
+
+def compile_exact(terms, ring_vars, index):
+    """Compile a term dict over the variables ring_vars with int or Fraction
+    coefficients into a function of the caller's value vector, as
+    ``compile_poly`` does with exact=True: at int or Fraction values it
+    returns the exact value, a Fraction."""
+    return _term_evaluator(_term_list(terms, ring_vars, index), Fraction(0))
 
 
 def _term_evaluator(terms, zero=0.0):

@@ -32,6 +32,7 @@ from .errors import (
     EXIT_USAGE,
     IllConditioned,
     InsufficientData,
+    ModelSyntaxError,
     NoParameterDependence,
     ParamVarietyError,
     UsageError,
@@ -86,8 +87,13 @@ def _parse_assignments(text, what):
 
 def _eval_param_expr(state, text, model, params):
     """Evaluate the initial-condition expression of a state, which may use
-    the parameters (like x2=(a7/a6)*4.1e6), at the given numeric point."""
-    rat = parse_param_expr(text, model.params)
+    the parameters (like x2=(a7/a6)*4.1e6), at the given numeric point. A
+    parse error names the option entry and its column within the value."""
+    try:
+        rat = parse_param_expr(text, model.params)
+    except ModelSyntaxError as exc:
+        where = f"column {exc.column}: " if exc.column else ""
+        raise UsageError(f"--x0 {state}={text}: {where}{exc.reason}") from None
     try:
         value = float(rat.evaluate([params[p] for p in model.params]))
     except ZeroDivisionError:

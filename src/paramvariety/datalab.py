@@ -1,12 +1,14 @@
 """Pseudo-data generation and ingestion.
 
 Provides fixed-step RK4 integration with step-halving refinement, exact
-output-derivative jets by symbolic push-forward (derivatives of the
-observation polynomial along the model's vector field, taken by the chain
-rule of ``algebra.Poly.derivative`` and evaluated in Fraction
-arithmetic), the closed-form solution of the two-compartment viral
-decay model, a central finite-difference fallback for externally measured
-series, and the CSV dataset format shared with the variety estimator.
+output-derivative jets by symbolic push-forward (total derivatives of the
+observation along the model's vector field, with the parameter values put
+in first: the observation and the right-hand sides become term dicts over
+Q, differentiated by the chain rule of ``algebra.dict_derivative`` and
+evaluated in Fraction arithmetic), the closed-form solution of the
+two-compartment viral decay model, a central finite-difference fallback for
+externally measured series, and the CSV dataset format shared with the
+variety estimator.
 
 The RK4 runs in one straight-line Python function generated per
 integration (``_rk4_kernel``). Its right-hand sides come from the compiled
@@ -33,8 +35,10 @@ from .algebra import (
     MonomialOrder,
     ParamRat,
     Poly,
+    compile_exact,
     compile_poly,
     compiled_terms,
+    dict_derivative,
     terms_source,
 )
 from .errors import (
@@ -278,31 +282,34 @@ def integrate_model(model, params, x0, grid):
 # symbolic push-forward jets
 # ---------------------------------------------------------------------------
 
-def _lie_velocity(model, order):
+def _lie_velocity(model, values, order):
     """The ring of the push-forward (the current state, then each input's
     jet to u^(order)) and the vector field of the total time derivative over
-    it: x -> the model right-hand side and u^(k) -> u^(k+1) for k < order."""
+    it at the exact parameter values: one term dict over Q per ring
+    variable, in ring order. x -> the model right-hand side,
+    u^(k) -> u^(k+1) for k < order, and None for u^(order), which the field
+    leaves constant. The right-hand sides are evaluated only for order > 0,
+    the only case that differentiates."""
     vars = [DiffVar(s, 0) for s in reversed(model.states)]
     for k in range(order, -1, -1):
         for u in reversed(model.inputs):
             vars.append(DiffVar(u, k))
     ring = MonomialOrder(vars)
-    velocity = {DiffVar(s, 0): fi.rering(ring) for s, fi in zip(model.states, model.f)}
+    velocity = [None] * len(vars)
+    if order:
+        for s, fi in zip(model.states, model.f):
+            velocity[ring.index[DiffVar(s, 0)]] = _at(fi.rering(ring), values)
     for u in model.inputs:
         for k in range(order):
-            velocity[DiffVar(u, k)] = Poly.var(ring, DiffVar(u, k + 1), model.nparams)
+            velocity[ring.index[DiffVar(u, k)]] = {ring.pack({DiffVar(u, k + 1): 1}): 1}
     return ring, velocity
 
 
-def output_jet_polys(model, order):
-    """Symbolic y, y', ..., y^(order) as polynomials in the current state
-    and the input jet: repeated total differentiation of the observation
-    with x' substituted by the model right-hand side."""
-    ring, velocity = _lie_velocity(model, order)
-    jets = [model.g.rering(ring)]
-    for _ in range(order):
-        jets.append(jets[-1].derivative(velocity))
-    return ring, jets
+def _at(p, values):
+    """The term dict over Q of a Poly with its coefficients evaluated
+    exactly at the parameter values, without the terms that vanish there. A
+    coefficient whose denominator vanishes raises ZeroDivisionError."""
+    return {key: v for key, c in p.packed.items() if (v := c.evaluate(values))}
 
 
 def _point_index(model, order):
@@ -338,13 +345,20 @@ def _exact_value(x):
 def _jet_evaluator(model, params, order):
     """Function (state, u_jet) -> exact output jet (y, ..., y^(order)).
 
-    The push-forward polynomials are evaluated in Fraction arithmetic at the
-    exact binary values of the float parameters, state and input jet, so the
-    jets satisfy the input-output equation exactly at those values."""
-    _, jets = output_jet_polys(model, order)
+    The parameters go in first, as the exact values of their floats; they
+    are constants of the time derivative, so evaluation commutes with it.
+    The jet polynomials are total derivatives over Q (``dict_derivative``),
+    evaluated exactly at the exact values of the float state and input jet,
+    so they satisfy the input-output equation exactly there. A model
+    coefficient whose denominator vanishes at the parameters raises
+    ZeroDivisionError."""
     values = [_exact_value(a) for a in _param_vector(model, params)]
+    ring, velocity = _lie_velocity(model, values, order)
+    jets = [_at(model.g.rering(ring), values)]
+    for _ in range(order):
+        jets.append(dict_derivative(jets[-1], velocity))
     index = _point_index(model, order)
-    evs = [compile_poly(p, index, values, exact=True) for p in jets]
+    evs = [compile_exact(jet, ring.vars, index) for jet in jets]
 
     def evaluate(state, u_jet=()):
         vals = _point_values(model, state, u_jet, order, _exact_value)
@@ -357,8 +371,8 @@ def jet_at(model, params, state, t=0.0, u_jet=(), order=1):
     """Exact output jet (y, y', ..., y^(order)) at one state point, as
     Fractions.
 
-    Computed by evaluating the symbolic push-forward polynomials in exact
-    arithmetic; no finite differences are involved.
+    Computed by the exact push-forward of ``_jet_evaluator``; no finite
+    differences are involved.
     """
     y_jet = _jet_evaluator(model, params, order)(state, u_jet)
     return JetSample(t=float(t), y_jet=y_jet,

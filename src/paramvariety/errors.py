@@ -53,11 +53,13 @@ class InvalidBlock(ParamVarietyError):
 # --- model layer ------------------------------------------------------------
 
 class ModelSyntaxError(ParamVarietyError):
+    """A parse error; reason is the message without its line and column."""
     exit_code = EXIT_USAGE
 
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column
+        self.reason = message
         if line is not None:
             where = f"line {line}" + (f", column {column}" if column else "")
             message = f"{where}: {message}"

@@ -121,7 +121,11 @@ _TOKEN = re.compile(
 
 
 class _Tokens:
-    def __init__(self, text, line):
+    """The tokens of one expression that starts at column col of its line,
+    each with its column on the line. Past the last token, peek gives the
+    column one past the expression's last character."""
+
+    def __init__(self, text, line, col=1):
         self.line = line
         self.toks = []
         for m in _TOKEN.finditer(text):
@@ -130,12 +134,13 @@ class _Tokens:
                 continue
             if kind == "bad":
                 raise ModelSyntaxError(f"unexpected character {m.group()!r}",
-                                       line, m.start() + 1)
-            self.toks.append((kind, m.group(), m.start() + 1))
+                                       line, col + m.start())
+            self.toks.append((kind, m.group(), col + m.start()))
+        self.end = col + len(text.rstrip())
         self.i = 0
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, None)
+        return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
 
     def next(self):
         tok = self.peek()
@@ -232,19 +237,18 @@ class _ExprParser:
             value = self.expr()
             self.t.expect_op(")")
             return value
-        raise ModelSyntaxError("expected a number, symbol, or '('", self.line,
-                               col or 1)
+        raise ModelSyntaxError("expected a number, symbol, or '('", self.line, col)
 
 
-def parse_param_expr(text, params, line=1):
+def parse_param_expr(text, params, line=1, col=1):
     """The ParamRat value of an expression in the parameters alone (an
-    assume_nonzero entry, an initial value on the command line); any other
-    symbol raises UndeclaredSymbol."""
+    assume_nonzero entry, an initial value on the command line) that starts
+    at column col of its line; any other symbol raises UndeclaredSymbol."""
     n = len(params)
     ring = MonomialOrder(())
     symbols = {p: (lambda i=i: Poly.const(ring, ParamRat.gen(n, i)))
                for i, p in enumerate(params)}
-    value = _ExprParser(_Tokens(text, line), symbols, ring, n, line).parse()
+    value = _ExprParser(_Tokens(text, line, col), symbols, ring, n, line).parse()
     return value.packed.get(0, ParamRat.zero(n))
 
 
@@ -263,20 +267,24 @@ def parse_model(text):
         if not line:
             continue
         any_content = True
+        # the column on the raw line of the stripped line's first character
+        lead = len(raw) - len(raw.lstrip()) + 1
         m = _SECTION.match(line)
         if m:
             name = m.group(1)
             if name in sections:
                 raise ModelSyntaxError(f"duplicate section {name!r}", lineno)
-            sections[name] = (m.group(2).strip(), lineno)
+            sections[name] = (m.group(2).strip(), lineno, lead + m.start(2))
             continue
         m = _STATE_EQ.match(line)
         if m:
-            equations.append(("state", m.group(1), m.group(2), lineno))
+            equations.append(("state", m.group(1), m.group(2), lineno,
+                              lead + m.start(2)))
             continue
         m = _OUT_EQ.match(line)
         if m:
-            equations.append(("output", m.group(1), m.group(2), lineno))
+            equations.append(("output", m.group(1), m.group(2), lineno,
+                              lead + m.start(2)))
             continue
         raise ModelSyntaxError("expected a section header or an equation", lineno)
     if not any_content:
@@ -287,7 +295,7 @@ def parse_model(text):
             if required:
                 raise ModelSyntaxError(f"missing section {section!r}", 1)
             return ()
-        body, lineno = sections[section]
+        body, lineno, _ = sections[section]
         names = tuple(s for s in re.split(r"[,\s]+", body) if s)
         for name in names:
             if not re.fullmatch(r"[A-Za-z_]\w*", name):
@@ -310,7 +318,7 @@ def parse_model(text):
 
     if "horizon" not in sections:
         raise ModelSyntaxError("missing section 'horizon'", 1)
-    body, lineno = sections["horizon"]
+    body, lineno, _ = sections["horizon"]
     pieces = body.split()
     if len(pieces) != 2:
         raise ModelSyntaxError("horizon takes exactly two numbers: T0 T1", lineno)
@@ -329,19 +337,20 @@ def parse_model(text):
     for s in list(states) + list(inputs):
         symbols[s] = (lambda s=s: Poly.var(ring, DiffVar(s, 0), n))
 
-    def parse_expr(text_, lineno):
-        return _ExprParser(_Tokens(text_, lineno), symbols, ring, n, lineno).parse()
+    def parse_expr(text_, lineno, col):
+        return _ExprParser(_Tokens(text_, lineno, col), symbols, ring, n,
+                           lineno).parse()
 
     f = {}
     g = None
-    for kind, name, rhs, lineno in equations:
+    for kind, name, rhs, lineno, col in equations:
         if kind == "state":
             if name not in states:
                 raise UndeclaredSymbol(f"d{name}/dt: {name!r} is not a declared state",
                                        lineno)
             if name in f:
                 raise ModelSyntaxError(f"duplicate equation for state {name!r}", lineno)
-            f[name] = parse_expr(rhs, lineno)
+            f[name] = parse_expr(rhs, lineno, col)
         else:
             if name != output:
                 raise UndeclaredSymbol(
@@ -349,7 +358,7 @@ def parse_model(text):
                     f"d<state>/dt or the output)", lineno)
             if g is not None:
                 raise ModelSyntaxError("duplicate output equation", lineno)
-            g = parse_expr(rhs, lineno)
+            g = parse_expr(rhs, lineno, col)
     missing = [s for s in states if s not in f]
     if missing:
         raise ModelSyntaxError(f"missing d{missing[0]}/dt equation", 1)
@@ -358,12 +367,14 @@ def parse_model(text):
 
     assumptions = []
     if "assume_nonzero" in sections:
-        body, lineno = sections["assume_nonzero"]
+        body, lineno, col = sections["assume_nonzero"]
         for piece in body.split(","):
+            start = col + len(piece) - len(piece.lstrip())
+            col += len(piece) + 1
             piece = piece.strip()
             if not piece:
                 continue
-            rat = parse_param_expr(piece, params, lineno)
+            rat = parse_param_expr(piece, params, lineno, start)
             if rat.is_zero:
                 raise ModelSyntaxError("assume_nonzero entry is identically zero",
                                        lineno)

@@ -3,8 +3,8 @@ solved values into the polynomial constraints that cut out the variety of
 data-consistent parameters.
 
 Exact data (Fraction jets, as symbolic push-forward pseudo-data carries)
-give an exact linear system, solved by fraction-free (Bareiss) elimination;
-float data (measured, closed-form or finite-difference jets) are solved in
+give an exact linear system, solved on integers by one fraction-free
+(Bareiss) elimination of all its rows; float data (measured, closed-form or finite-difference jets) are solved in
 floating point behind a condition-number gate. Data values entering the
 constraint polynomials are rationalized exactly (0.8512 -> 8512/10000).
 
@@ -114,9 +114,11 @@ def solve_coefficients(matrix, rhs):
     condition number of the matrix.
 
     Exact systems (every entry an int or Fraction, as build_linear_system
-    gives for push-forward pseudo-data) are solved exactly by fraction-free
-    elimination, on the normal equations when overdetermined; they are
-    refused only when exactly rank deficient, whatever their condition.
+    gives for push-forward pseudo-data) are solved exactly by one
+    fraction-free elimination on integers (``_solve_exact``): v is the exact
+    solution y/det, or the exact least-squares solution when the rows are
+    inconsistent, rounded once per entry. They are refused only when
+    exactly rank deficient, whatever their condition.
     Float systems (measured data) are solved in floating point and refused
     when rank deficient or when the condition exceeds COND_THRESHOLD.
     """
@@ -147,53 +149,89 @@ def solve_coefficients(matrix, rhs):
 
 
 def _solve_exact(a, b, cond):
+    """Exact solve of the rational system a v = b, k >= n rows: one
+    fraction-free elimination of all k augmented rows, each cleared to
+    integers on its own.
+
+    A consistent system of full column rank (every square one, and every
+    one built from exact jets) has one exact solution, its least-squares
+    solution too: v = y/det from the pivot rows, residual 0. Only an
+    inconsistent system is solved again, on its normal equations formed in
+    integers from one scale of the whole system (a scale per row would
+    weight the rows and move the least-squares solution); its residual is
+    the float of an exact rational, square-rooted."""
     import numpy as np
 
-    if len(a) == len(a[0]):
-        sq, sb = a, b
-    else:
-        cols = list(zip(*a))
-        sq = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
-        sb = [sum(x * y for x, y in zip(ci, b)) for ci in cols]
-    v = _bareiss_solve(sq, sb)
-    if v is None:
+    n = len(a[0])
+    solved = _bareiss_solve([_integers([*row, bi]) for row, bi in zip(a, b)], n)
+    if solved is None:
         raise IllConditioned(
             "coefficient system is exactly rank deficient; resample the "
             "measurement time points")
-    resid = [sum(x * y for x, y in zip(row, v)) - bi for row, bi in zip(a, b)]
-    residual = math.sqrt(float(sum(r * r for r in resid)))
-    return SolveResult(v=np.array([float(x) for x in v]), residual=residual,
-                       cond=cond)
+    y, det, consistent = solved
+    residual = 0.0
+    if not consistent:
+        scale = math.lcm(*(x.denominator for row in a for x in row),
+                         *(x.denominator for x in b))
+        ia = [_integers(row, scale) for row in a]
+        ib = _integers(b, scale)
+        cols = list(zip(*ia))
+        normal = [[_dot(ci, cj) for cj in cols] + [_dot(ci, ib)] for ci in cols]
+        y, det, _ = _bareiss_solve(normal, n)
+        # a v - b = (ia y - det ib) / (scale det), row by row
+        num = sum((_dot(row, y) - det * bi) ** 2 for row, bi in zip(ia, ib))
+        residual = math.sqrt(num / (scale * det) ** 2)
+    return SolveResult(v=np.array([float(Fraction(yi, det)) for yi in y]),
+                       residual=residual, cond=cond)
 
 
-def _bareiss_solve(a, b):
-    """Exact solution of the square system a x = b with rational entries, by
-    fraction-free Gaussian elimination (Bareiss 1968) on the integer-cleared
-    augmented matrix; None when the matrix is singular."""
-    n = len(a)
-    m = []
-    for row, bi in zip(a, b):
-        row = [Fraction(x) for x in row] + [Fraction(bi)]
-        scale = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (scale // x.denominator) for x in row])
+def _integers(values, scale=None):
+    """Ints and Fractions times scale, by default the lcm of their
+    denominators, as ints."""
+    if scale is None:
+        scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _dot(xs, ys):
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+def _bareiss_solve(m, n):
+    """Fraction-free Gaussian elimination (Bareiss 1968) with row pivoting,
+    in place, of k >= n integer augmented rows [A | b] of n + 1 entries.
+
+    After step s each entry below the pivots is the minor of [A | b] on the
+    s + 1 pivot rows and its own row, and the first s + 1 columns and its
+    own, so every division by the last pivot is exact, in every row. None
+    when A is rank deficient (a step finds no pivot); else (y, det,
+    consistent): det > 0 is the absolute determinant of the pivot rows' A
+    block, and x = y/det solves them, y integer by Cramer's rule and
+    back-substituted in integers. consistent tells whether every other row
+    holds at x: its augmented entry is the minor that vanishes exactly
+    then."""
+    k = len(m)
     prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
+    for s in range(n):
+        piv = next((r for r in range(s, k) if m[r][s]), None)
         if piv is None:
             return None
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            for j in range(k + 1, n + 1):
-                mi[j] = (mi[j] * pk[k] - mi[k] * pk[j]) // prev
-            mi[k] = 0
-        prev = pk[k]
-    x = [Fraction(0)] * n
+        m[s], m[piv] = m[piv], m[s]
+        ps = m[s]
+        p = ps[s]
+        tail = ps[s + 1:]
+        for mi in m[s + 1:]:
+            f = mi[s]
+            mi[s + 1:] = [(x * p - f * t) // prev for x, t in zip(mi[s + 1:], tail)]
+        prev = p
+    det = prev
+    y = [0] * n
     for i in reversed(range(n)):
-        acc = m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = Fraction(acc) / m[i][i]
-    return x
+        row = m[i]
+        y[i] = (det * row[n] - _dot(row[i + 1:n], y[i + 1:])) // row[i]
+    if det < 0:
+        det, y = -det, [-yi for yi in y]
+    return y, det, not any(row[n] for row in m[n:])
 
 
 def rationalize(x):

@@ -1,13 +1,14 @@
 """Shared construction helpers for the test suite."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly, compile_poly
-from paramvariety.datalab import _lie_velocity, _param_vector, _point_index, _point_values
-from paramvariety.errors import MissingLeading
+from paramvariety.datalab import _exact_value, _param_vector, _point_index, _point_values
+from paramvariety.errors import IllConditioned, MissingLeading
 from paramvariety.extension import _by_leading, _state_jet_vars, _z_powers
 
 from .conftest import MODELS
@@ -129,12 +130,46 @@ def input_model_texts():
             "output-reads-input": _INPUT_TEXT.replace("y = x2", "y = x2 + a2*u")}
 
 
+def symbolic_velocity(model, order):
+    """The push-forward ring of ``datalab`` (the current state, then each
+    input's jet to u^(order)) and the vector field of the total time
+    derivative over it as Polys over Q(a): x -> the model right-hand side,
+    u^(k) -> u^(k+1) for k < order."""
+    vars = [DiffVar(s, 0) for s in reversed(model.states)]
+    for k in range(order, -1, -1):
+        for u in reversed(model.inputs):
+            vars.append(DiffVar(u, k))
+    ring = MonomialOrder(vars)
+    velocity = {DiffVar(s, 0): fi.rering(ring) for s, fi in zip(model.states, model.f)}
+    for u in model.inputs:
+        for k in range(order):
+            velocity[DiffVar(u, k)] = Poly.var(ring, DiffVar(u, k + 1), model.nparams)
+    return ring, velocity
+
+
+def symbolic_jet(model, params, state, order, u_jet=()):
+    """Oracle: the output jet pushed forward over Q(a), the observation
+    differentiated along ``symbolic_velocity`` with rational-function
+    coefficients, then evaluated exactly at the exact values of the float
+    parameters, state and input jet."""
+    values = [_exact_value(a) for a in _param_vector(model, params)]
+    ring, velocity = symbolic_velocity(model, order)
+    index = _point_index(model, order)
+    vals = _point_values(model, state, u_jet, order, _exact_value)
+    cur = model.g.rering(ring)
+    out = [compile_poly(cur, index, values, exact=True)(vals)]
+    for _ in range(order):
+        cur = cur.derivative(velocity)
+        out.append(compile_poly(cur, index, values, exact=True)(vals))
+    return tuple(out)
+
+
 def state_jet(model, params, state, order, u_jet=()):
     """Oracle: values of every state derivative up to the given order along
     the vector field (x^(k) by iterated substitution of the dynamics), as
     floats. Each input needs its jet u, u', ..., u^(order-1) in u_jet."""
     values = _param_vector(model, params)
-    ring, velocity = _lie_velocity(model, order)
+    ring, velocity = symbolic_velocity(model, order)
     index = _point_index(model, order)
     vals = _point_values(model, state, u_jet, order, float)
     out = {}
@@ -197,3 +232,43 @@ def _univariate_roots(g, z, values, pvec):
     roots = np.roots(coeffs)
     scale = max(1.0, float(np.max(np.abs(roots))) if len(roots) else 1.0)
     return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-9 * scale)
+
+
+def reference_solve_exact(a, b):
+    """Oracle: the exact coefficient solve in Fraction arithmetic. A square
+    system is solved as it stands, an overdetermined one on its normal
+    equations, formed in Fractions; both by Bareiss elimination of the
+    integer-cleared rows. Returns (v as floats, residual), the residual the
+    float of the exact squared norm of a v - b, square-rooted; a singular
+    system raises IllConditioned."""
+    if len(a) == len(a[0]):
+        sq, sb = a, b
+    else:
+        cols = list(zip(*a))
+        sq = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
+        sb = [sum(x * y for x, y in zip(ci, b)) for ci in cols]
+    n = len(sq)
+    m = []
+    for row, bi in zip(sq, sb):
+        row = [Fraction(x) for x in row] + [Fraction(bi)]
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise IllConditioned("coefficient system is exactly rank deficient")
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            for j in range(k + 1, n + 1):
+                mi[j] = (mi[j] * pk[k] - mi[k] * pk[j]) // prev
+            mi[k] = 0
+        prev = pk[k]
+    v = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        acc = m[i][n] - sum(m[i][j] * v[j] for j in range(i + 1, n))
+        v[i] = Fraction(acc) / m[i][i]
+    resid = [sum(x * y for x, y in zip(row, v)) - bi for row, bi in zip(a, b)]
+    return [float(x) for x in v], math.sqrt(float(sum(r * r for r in resid)))

@@ -338,6 +338,8 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
     ["variety", "--params", "a4=0.5,a5=0.3,a6=1.2,a7=0.8",
      "--x0", "x2=2*x3,x3=2"],
     ["ioeq", "--model", STATE_ASSUMED],
+    ["variety", "--params", "a4=0.5,a5=0.3,a6=1.2,a7=0.8",
+     "--x0", "x2=a7*(a6,x3=2"],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
@@ -345,7 +347,8 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
         "bad-axes", "zero-n-times", "closed-form-wrong-model",
         "negative-samples", "sample-without-samples", "variety-negative-samples",
         "reversed-range", "repeated-free", "unknown-x0-state", "repeated-param",
-        "repeated-x0", "repeated-range", "state-in-x0", "state-in-assumption"])
+        "repeated-x0", "repeated-range", "state-in-x0", "state-in-assumption",
+        "bad-x0-expression"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2
@@ -361,6 +364,19 @@ def test_sample_names_checked_before_sampling(tmp_path, capsys, extra):
                 "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("x0, message", [
+    ("x2=2*x3,x3=2", "--x0 x2=2*x3: column 3: undeclared symbol 'x3'"),
+    ("x2=a7*(a6,x3=2", "--x0 x2=a7*(a6: column 7: expected ')'"),
+    ("x2=1,x3= 4 $ 2", "--x0 x3=4 $ 2: column 3: unexpected character '$'"),
+], ids=["undeclared", "end-of-value", "bad-character"])
+def test_x0_parse_error_names_option(tmp_path, capsys, x0, message):
+    # the column counts within the value, not on a model file line
+    code = _run("variety", "--model", VIRAL, "--params",
+                "a4=0.5,a5=0.3,a6=1.2,a7=0.8", "--x0", x0, "--out", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_vanishing_x0_denominator_exits_usage(tmp_path, capsys):

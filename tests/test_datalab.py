@@ -27,7 +27,8 @@ from paramvariety.errors import (
 )
 from paramvariety.model import load_model, parse_model
 
-from .helpers import state_jet
+from .conftest import MODELS
+from .helpers import input_model_texts, state_jet, symbolic_jet
 
 SUBJECTS = {
     "1-H": dict(a4=0.0, a5=0.75, a7=6.9, t0=10 / 24, x3=4.1e6),
@@ -438,6 +439,48 @@ y = x1
     # y' = a1 x1 + u, y'' = a1 y' + u'
     assert jet.y_jet[1] == pytest.approx(3.0)
     assert jet.y_jet[2] == pytest.approx(3.5)
+
+
+_JET_MODELS = {
+    "viral": ({"a4": 0.16, "a5": 0.95, "a6": 1.0, "a7": 5.6}, (1e5, 1e6)),
+    "lotka_volterra": ({"a1": 1.0, "a2": 0.5, "a3": 5.0, "a4": 1.0, "a5": 0.2,
+                        "a6": 2.4}, (1.5, 2.5)),
+    "virus_full": ({"a1": 1.525e6, "a2": 0.01, "a3": 3e-7, "a4": 0.3, "a5": 0.9,
+                    "a6": 2.0, "a7": 5.0}, (1e7, 1e6, 1e6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JET_MODELS))
+def test_jet_matches_symbolic_pushforward(name, rng):
+    # parameters put in first, then differentiated over Q: the jets of the
+    # push-forward over Q(a) evaluated afterwards, exactly
+    model = load_model(MODELS / f"{name}.model")
+    nominal, scales = _JET_MODELS[name]
+    for _ in range(8):
+        params = {p: a * rng.uniform(0.7, 1.3) for p, a in nominal.items()}
+        state = [s * rng.uniform(0.1, 1.0) for s in scales]
+        for order in (0, 1, 3):
+            assert jet_at(model, params, state, order=order).y_jet == \
+                symbolic_jet(model, params, state, order)
+
+
+def test_jet_with_inputs_matches_symbolic_pushforward(rng):
+    for text in input_model_texts().values():
+        model = parse_model(text)
+        params = {"a1": rng.uniform(0.5, 2.0), "a2": rng.uniform(0.5, 2.0)}
+        u_jet = ((rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)),)
+        state = [rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)]
+        assert jet_at(model, params, state, order=3, u_jet=u_jet).y_jet == \
+            symbolic_jet(model, params, state, 3, u_jet)
+
+
+def test_jet_vanishing_denominator_raises(lv_model):
+    # a1/a2 is a coefficient of the competition model's right-hand side; the
+    # observation y = x1 alone has none, so order 0 still evaluates
+    params = {"a1": 1.0, "a2": 0.0, "a3": 5.0, "a4": 1.0, "a5": 0.2, "a6": 2.4}
+    with pytest.raises(ZeroDivisionError, match="denominator vanishes"):
+        jet_at(lv_model, params, [1.0, 2.0], order=2)
+    assert jet_at(lv_model, params, [1.0, 2.0], order=0).y_jet == (1,)
 
 
 def test_state_jet_consistency(viral_model):

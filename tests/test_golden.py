@@ -1,5 +1,7 @@
 """Golden hashes of the exact outputs: reduced bases, IO equations, extension
-reports and the ioeq.txt/extension.txt artifacts the CLI writes.
+reports and the ioeq.txt/extension.txt artifacts the CLI writes, and pins of
+the data path: the coefficient values, the solve residual and the constraint
+equations of ``paramvariety variety`` runs.
 
 The data file holds sha256 digests only. A change to the algebra that is
 meant to keep every output byte-identical must leave them all equal; a
@@ -26,6 +28,21 @@ from .helpers import derive_inputs, input_model_texts
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_sha256.json"
 BUNDLED = ("decay", "viral", "lotka_volterra", "virus_full")
+NOMINAL = {
+    "decay": ("a1=-0.4", "x1=2.0"),
+    "viral": ("a4=0.16,a5=0.95,a6=1.0,a7=5.6", "x2=(a7/a6)*1.0e6,x3=1.0e6"),
+    "lotka_volterra": ("a1=1.0,a2=0.5,a3=5.0,a4=1.0,a5=0.2,a6=2.4",
+                       "x1=1.0,x2=2.0"),
+    "virus_full": ("a1=1.525e6,a2=0.01,a3=3e-7,a4=0.3,a5=0.9,a6=2.0,a7=5.0",
+                   "x1=(a4*a7)/(a3*a6),x2=(a7/a6)*2.0e6,x3=2.0e6"),
+}
+# (label, model, extra arguments): the bundled models at their default row
+# count (a square system), and the competition model with 9 rows for its 6
+# coefficients (the overdetermined exact solve)
+DATA_RUNS = [(f"{name}-seed{seed}", name, ["--seed", str(seed)])
+             for name in BUNDLED for seed in (1, 2, 3)]
+DATA_RUNS += [(f"lotka_volterra-n9-seed{seed}", "lotka_volterra",
+               ["--seed", str(seed), "--n-times", "9"]) for seed in (1, 2, 3)]
 
 
 def _sha(text):
@@ -53,6 +70,20 @@ def artifact_hashes(name, out):
             for f in ("ioeq.txt", "extension.txt")}
 
 
+def data_path_hashes(name, extra, out):
+    """Digests of v (each value as float.hex), the residual (float.hex) and
+    the equations of the variety.json a nominal variety run writes. The
+    condition number is left out: it comes from LAPACK's SVD, whose last
+    bits may differ between numpy builds."""
+    params, x0 = NOMINAL[name]
+    assert main(["variety", "--model", str(MODELS / f"{name}.model"),
+                 "--params", params, "--x0", x0, *extra, "--out", str(out)]) == 0
+    doc = json.loads((out / "variety.json").read_text())
+    return {"v": _sha(" ".join(float.hex(x) for x in doc["v"])),
+            "residual": _sha(float.hex(doc["residual"])),
+            "equations": _sha("\n".join(doc["equations"]))}
+
+
 def _texts():
     return {**derive_inputs(), **input_model_texts()}
 
@@ -71,10 +102,17 @@ def test_cli_artifacts_match_golden(name, tmp_path):
     assert artifact_hashes(name, tmp_path) == _golden()["artifacts"][name]
 
 
+@pytest.mark.parametrize("label, name, extra", DATA_RUNS,
+                         ids=[label for label, _, _ in DATA_RUNS])
+def test_data_path_matches_golden(label, name, extra, tmp_path):
+    assert data_path_hashes(name, extra, tmp_path) == _golden()["data_path"][label]
+
+
 def test_golden_covers_every_input():
     golden = _golden()
     assert sorted(golden["derivations"]) == sorted(_texts())
     assert sorted(golden["artifacts"]) == sorted(BUNDLED)
+    assert sorted(golden["data_path"]) == sorted(label for label, _, _ in DATA_RUNS)
 
 
 if __name__ == "__main__":
@@ -85,6 +123,8 @@ if __name__ == "__main__":
             "derivations": {label: derivation_hashes(text)
                             for label, text in sorted(_texts().items())},
             "artifacts": {name: artifact_hashes(name, Path(tmp)) for name in BUNDLED},
+            "data_path": {label: data_path_hashes(name, extra, Path(tmp))
+                          for label, name, extra in DATA_RUNS},
         }
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

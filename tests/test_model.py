@@ -93,6 +93,25 @@ def test_syntax_error_carries_line():
     assert err.value.line == 5
 
 
+_COLUMN_BASE = "states: x1\noutput: y\nparams: a1\n{a}horizon: 0 5\n{eq}\ny = x1\n"
+
+
+@pytest.mark.parametrize("assume, eq, line, column", [
+    ("", "dx1/dt = a1*x1 + q", 5, 18),
+    ("assume_nonzero: a1, x1\n", "dx1/dt = a1*x1", 4, 21),
+    ("", "dx1/dt = a1*x1 +", 5, 17),
+    ("", "  dx1/dt = a1*x1 $ 2", 5, 18),
+    ("assume_nonzero:   a1 ,  (a1 +\n", "dx1/dt = a1*x1", 4, 30),
+], ids=["symbol-in-equation", "symbol-in-assumption", "end-of-equation",
+        "indented-equation", "end-of-assumption"])
+def test_syntax_error_column_counts_from_line_start(assume, eq, line, column):
+    # an end-of-input error points one past the expression's last character
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(_COLUMN_BASE.format(a=assume, eq=eq))
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}, column {column}: ")
+
+
 def test_decimal_literals_exact():
     src = """
 states: x1

@@ -1,4 +1,5 @@
 import gc
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from paramvariety.variety import (
     variety_constraints,
 )
 
-from .helpers import pp
+from .helpers import pp, reference_solve_exact
 
 T1, T2 = 1.8594, 6.1602
 
@@ -106,6 +107,62 @@ def test_solve_exact_system():
     assert res.cond > 1e8 and res.residual == 0.0
     with pytest.raises(IllConditioned):
         solve_coefficients(_exact([[1, 2], [2, 4]]), _exact([[1, 2]])[0])
+
+
+def _random_rational(rng):
+    """An int, a small fraction or the exact value of a float: the mixed
+    denominators of cleared data."""
+    pick = rng.random()
+    if pick < 0.2:
+        return rng.randint(-9, 9)
+    if pick < 0.6:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+    return Fraction(rng.uniform(-1e3, 1e3))
+
+
+def _random_system(rng, kind):
+    n = rng.randint(1, 6)
+    k = n if kind == "square" else n + rng.randint(1, 3)
+    if kind == "rank-deficient":
+        n = max(n, 2)
+        k = max(k, n)
+    a = [[_random_rational(rng) for _ in range(n)] for _ in range(k)]
+    if kind == "rank-deficient":
+        # one column a rational combination of the others (or zero)
+        j = rng.randrange(n)
+        weights = [_random_rational(rng) if i != j and rng.random() < 0.7 else 0
+                   for i in range(n)]
+        for row in a:
+            row[j] = sum(w * x for w, x in zip(weights, row))
+    if kind == "consistent":
+        x = [_random_rational(rng) for _ in range(n)]
+        b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
+    else:
+        b = [_random_rational(rng) for _ in range(k)]
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["square", "consistent", "inconsistent",
+                                  "rank-deficient"])
+def test_exact_solve_matches_fraction_reference(kind):
+    # 50 seeded systems per kind: the integer elimination gives the bits of
+    # the Fraction normal-equation solve, or raises what it raises
+    rng = random.Random(f"exact-solve-{kind}")
+    for _ in range(50):
+        a, b = _random_system(rng, kind)
+        try:
+            want = reference_solve_exact(a, b)
+        except IllConditioned:
+            with pytest.raises(IllConditioned):
+                solve_coefficients(np.array(a, dtype=object),
+                                   np.array(b, dtype=object))
+            assert kind in ("rank-deficient", "square")
+            continue
+        assert kind != "rank-deficient"
+        got = solve_coefficients(np.array(a, dtype=object), np.array(b, dtype=object))
+        assert [x.hex() for x in got.v] == [x.hex() for x in want[0]]
+        assert got.residual.hex() == want[1].hex()
+        assert (got.residual > 0) == (kind == "inconsistent")
 
 
 def test_solve_needs_enough_rows(viral_io):
