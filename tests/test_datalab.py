@@ -183,6 +183,25 @@ y = x1
     assert (str(err.value), err.value.time) == _reference_blow_up(*args)
 
 
+def test_blowup_from_zero_coefficient_term():
+    # (a1 - 1) evaluates to 0.0 at a1 = 1, but its term stays in the float
+    # right-hand side: x1 ** 200 raises OverflowError once x1 passes about
+    # 34.8, well before x1^2 alone overflows; x1 = 1/(1 - t)
+    src = """
+states: x1
+output: y
+params: a1
+horizon: 0 5
+dx1/dt = x1^2 + (a1 - 1)*x1^200
+y = x1
+"""
+    args = (parse_model(src), {"a1": 1.0}, [1.0], [0.0, 1.5])
+    with pytest.raises(BlowUp, match="state overflowed") as err:
+        integrate_model(*args)
+    assert err.value.time == 0.984375
+    assert (str(err.value), err.value.time) == _reference_blow_up(*args)
+
+
 # nominal parameters and initial states of the bundled models
 NOMINAL = {
     "decay": ({"a1": -0.4}, lambda p: [2.0]),
@@ -198,9 +217,11 @@ NOMINAL = {
 
 # parsed models, their parameters and initial states: exponents 2 and 3, a
 # constant and a parameter-free term, states named like the kernel's own
-# locals and namespace entries, and a sum whose sign of zero depends on the
+# locals and namespace entries, a sum whose sign of zero depends on the
 # 0.0 the evaluation starts from (a1*x1 at x1 = -0.0 is -0.0, and
-# 0.0 + -0.0 is 0.0)
+# 0.0 + -0.0 is 0.0), and coefficients that evaluate to 0.0 at their
+# parameters (a1 - 1 at a1 = 1), whose terms the float path keeps: 0.0 times
+# a negative state is -0.0
 PARSED = {
     "powers": ("""
 states: h half sixth
@@ -230,6 +251,15 @@ horizon: 0 5
 dx1/dt = a1*x1
 y = x1
 """, {"a1": 0.5}, [-0.0]),
+    "zero_coefficient": ("""
+states: x1 x2
+output: y
+params: a1 a2
+horizon: 0 5
+dx1/dt = (a1 - 1)*x1*x2^2 - a2*x1
+dx2/dt = (a1 - 1)*x1 + (a2 - 2)*x2^3 - x1^2
+y = x1 + (a2 - 2)*x2^2
+""", {"a1": 1.0, "a2": 2.0}, [-0.4, 0.9]),
 }
 
 
@@ -372,6 +402,7 @@ def _bits(array):
     ("powers", [0.0, 0.5, 1.0], 1),
     ("names", [0.0, 0.5, 1.0], 1),
     ("signed_zero", [0.0, 1.0], 1),
+    ("zero_coefficient", [0.0, 0.5, 1.0], 2),
 ])
 def test_rk4_bit_identical_to_numpy_reference(name, grid, halvings):
     model, params, x0 = _rk4_case(name)

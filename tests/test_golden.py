@@ -1,7 +1,10 @@
 """Golden hashes of the exact outputs: reduced bases, IO equations, extension
 reports and the ioeq.txt/extension.txt artifacts the CLI writes, and pins of
 the data path: the coefficient values, the solve residual and the constraint
-equations of ``paramvariety variety`` runs.
+equations of ``paramvariety variety`` runs, the dataset CSVs that
+``paramvariety pseudo`` writes (RK4 states, push-forward jets and finite
+differences), and the float coefficient systems that ``build_linear_system``
+assembles from closed-form and finite-difference jets.
 
 The data file holds sha256 digests only. A change to the algebra that is
 meant to keep every output byte-identical must leave them all equal; a
@@ -19,9 +22,11 @@ from pathlib import Path
 import pytest
 
 from paramvariety.cli import main
+from paramvariety.datalab import make_dataset
 from paramvariety.extension import run_extension_check
 from paramvariety.ioeq import derive_io_basis
-from paramvariety.model import parse_model
+from paramvariety.model import load_model, parse_model
+from paramvariety.variety import build_linear_system
 
 from .conftest import MODELS
 from .helpers import derive_inputs, input_model_texts
@@ -43,6 +48,25 @@ DATA_RUNS = [(f"{name}-seed{seed}", name, ["--seed", str(seed)])
              for name in BUNDLED for seed in (1, 2, 3)]
 DATA_RUNS += [(f"lotka_volterra-n9-seed{seed}", "lotka_volterra",
                ["--seed", str(seed), "--n-times", "9"]) for seed in (1, 2, 3)]
+# (label, model, method, seed): pseudo-data of the bundled models at their
+# nominal point, jets pushed forward at the RK4 states and finite
+# differences of a dense RK4 trajectory
+PSEUDO_RUNS = [(f"{name}-{method}-seed{seed}", name, method, seed)
+               for name in BUNDLED for method in ("symbolic", "finite-difference")
+               for seed in (1, 2, 3)]
+# (label, model, method, parameters, x0, t0, times): float jets, so float
+# coefficient systems
+SYSTEM_RUNS = [
+    ("viral-exact-viral", "viral", "exact-viral",
+     {"a4": 0.16, "a5": 0.95, "a6": 1.0, "a7": 5.6}, [5.6e6, 1.0e6],
+     0.2916666666666667, [1.8594, 3.25, 6.1602, 9.5]),
+    ("viral-finite-difference", "viral", "finite-difference",
+     {"a4": 0.16, "a5": 0.95, "a6": 1.0, "a7": 5.6}, [5.6e6, 1.0e6],
+     0.0, [1.8594, 3.25, 6.1602]),
+    ("lotka_volterra-finite-difference", "lotka_volterra", "finite-difference",
+     {"a1": 1.0, "a2": 0.5, "a3": 5.0, "a4": 1.0, "a5": 0.2, "a6": 2.4},
+     [1.0, 2.0], 0.0, [0.7, 1.3, 2.2, 3.1, 4.4, 5.9, 7.5]),
+]
 
 
 def _sha(text):
@@ -84,6 +108,27 @@ def data_path_hashes(name, extra, out):
             "equations": _sha("\n".join(doc["equations"]))}
 
 
+def pseudo_hash(name, method, seed, out):
+    """Digest of the bytes of the dataset.csv a nominal pseudo run writes."""
+    params, x0 = NOMINAL[name]
+    assert main(["pseudo", "--model", str(MODELS / f"{name}.model"),
+                 "--params", params, "--x0", x0, "--seed", str(seed),
+                 "--method", method, "--out", str(out)]) == 0
+    return hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest()
+
+
+def system_hashes(name, method, params, x0, t0, times):
+    """Digests of the matrix and the rhs (each entry as float.hex) of the
+    coefficient system of a float dataset."""
+    model = load_model(MODELS / f"{name}.model")
+    basis = derive_io_basis(model)
+    data = make_dataset(model, params, x0, times, basis.L, t0=t0, method=method)
+    matrix, rhs = build_linear_system(basis, data)
+    assert matrix.dtype == rhs.dtype == float
+    return {"matrix": _sha(" ".join(float.hex(x) for x in matrix.ravel().tolist())),
+            "rhs": _sha(" ".join(float.hex(x) for x in rhs.tolist()))}
+
+
 def _texts():
     return {**derive_inputs(), **input_model_texts()}
 
@@ -108,11 +153,26 @@ def test_data_path_matches_golden(label, name, extra, tmp_path):
     assert data_path_hashes(name, extra, tmp_path) == _golden()["data_path"][label]
 
 
+@pytest.mark.parametrize("label, name, method, seed", PSEUDO_RUNS,
+                         ids=[run[0] for run in PSEUDO_RUNS])
+def test_pseudo_data_matches_golden(label, name, method, seed, tmp_path):
+    assert pseudo_hash(name, method, seed, tmp_path) == _golden()["pseudo"][label]
+
+
+@pytest.mark.parametrize("label, name, method, params, x0, t0, times", SYSTEM_RUNS,
+                         ids=[run[0] for run in SYSTEM_RUNS])
+def test_float_system_matches_golden(label, name, method, params, x0, t0, times):
+    got = system_hashes(name, method, params, x0, t0, times)
+    assert got == _golden()["float_system"][label]
+
+
 def test_golden_covers_every_input():
     golden = _golden()
     assert sorted(golden["derivations"]) == sorted(_texts())
     assert sorted(golden["artifacts"]) == sorted(BUNDLED)
     assert sorted(golden["data_path"]) == sorted(label for label, _, _ in DATA_RUNS)
+    assert sorted(golden["pseudo"]) == sorted(run[0] for run in PSEUDO_RUNS)
+    assert sorted(golden["float_system"]) == sorted(run[0] for run in SYSTEM_RUNS)
 
 
 if __name__ == "__main__":
@@ -125,6 +185,9 @@ if __name__ == "__main__":
             "artifacts": {name: artifact_hashes(name, Path(tmp)) for name in BUNDLED},
             "data_path": {label: data_path_hashes(name, extra, Path(tmp))
                           for label, name, extra in DATA_RUNS},
+            "pseudo": {label: pseudo_hash(name, method, seed, Path(tmp))
+                       for label, name, method, seed in PSEUDO_RUNS},
+            "float_system": {run[0]: system_hashes(*run[1:]) for run in SYSTEM_RUNS},
         }
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
