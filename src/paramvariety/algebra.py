@@ -44,18 +44,19 @@ dicts. ``dict_derivative`` is the chain rule, a derivative along a vector
 field: ``Poly.derivative`` runs it for the prolongation of ``model``, and
 the output push-forward of ``datalab`` runs it on term dicts over Q, the
 model at fixed parameter values. ``dict_partial`` is the partial
-derivative of a term dict. One evaluation loop, ``_term_evaluator``, walks
-a compiled term list, one ``(coef, ((pos, e), ...))`` per term. Every
-numeric evaluation runs it: ``ParamPoly.evaluate`` and ``ParamRat.evaluate``
-(exact at int/Fraction values, in floats at float values), ``compile_poly``
-(a Poly at fixed parameter values, over ``compiled_terms``),
-``compile_exact`` (a term dict over Q: the push-forward jets) and
-``ParamPoly.compiled`` (a parameter polynomial with float coefficients: the
-Newton sampler of ``variety``). ``terms_source`` (the expression source
-that the generated RK4 kernel of ``datalab`` is built from) spells out its
-operations, so the float evaluation order is defined in one place. All
-values are immutable after construction, so they are safe to share between
-threads.
+derivative of a term dict. Every numeric evaluation compiles a term dict
+with ``term_list`` into a compiled term list, one ``(coef, ((pos, e),
+...))`` per term, and walks it with the one evaluation loop,
+``term_evaluator``: ``ParamPoly.evaluate`` and ``ParamRat.evaluate`` (exact
+at int/Fraction values, in floats at float values), ``ParamPoly.compiled``
+(float coefficients: the Newton sampler of ``variety``), ``compiled_terms``
+(a Poly at fixed float parameter values: the RK4 output of ``datalab``),
+and the push-forward jets and the coefficient system, which compile their
+term dicts directly. ``terms_source`` (the expression source that the
+generated RK4 kernel of ``datalab`` is built from) spells out the loop's
+float operations, so the float evaluation order is defined in one place.
+All values are immutable after construction, so they are safe to share
+between threads.
 
 One routine, ``_integer_primitive``, scales exact coefficients to integers:
 it multiplies term dicts by the one positive rational that makes every
@@ -433,16 +434,6 @@ class ParamPoly:
             raise ValueError("not a constant polynomial")
         return Fraction(next(iter(self.packed.values())))
 
-    # -- structure
-
-    def lead(self):
-        """(packed monomial, coefficient) of the lexicographically largest
-        monomial in parameter-declaration order."""
-        if not self.packed:
-            raise ZeroPolynomial("zero parameter polynomial has no leading term")
-        m = max(self.packed)
-        return m, self.packed[m]
-
     # -- arithmetic
 
     def _coerce(self, other):
@@ -486,14 +477,7 @@ class ParamPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a parameter polynomial")
-        out = ParamPoly.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, ParamPoly.const(self.n, 1))
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
@@ -513,23 +497,22 @@ class ParamPoly:
         """Value at a parameter vector (aligned with the declaration order)
         in the arithmetic of the values: exact at ints and Fractions; a
         float value turns the coefficient it meets into a float, so float
-        values give the terms and the sum of a float evaluation."""
+        values give the terms and the sum of a float evaluation. The
+        parameters are their own positions in the vector, so ``term_list``
+        takes range(n) as both the variables and the index."""
         n = self.n
-        return _term_evaluator(
-            [(c, exponents(key, n)) for key, c in self.packed.items()], 0)(values)
+        return term_evaluator(term_list(self.packed, range(n), range(n)), 0)(values)
 
     def compiled(self):
-        """Float evaluator of this polynomial: ``_term_evaluator`` over its
-        compiled term list, ``(float(c), ((i, e), ...))`` per term in dict
-        order with the nonzero exponents in parameter order (``exponents``),
-        built once.
+        """Float evaluator of this polynomial: ``term_evaluator`` over its
+        term list with float(c) for each coefficient, built once.
         At a float parameter vector it returns float(self.evaluate(values))
         bit for bit: a float times an int or Fraction rounds the coefficient
         as ``float(c)`` does, and a sum seeded with 0.0 instead of 0 has the
         same value and sign of zero."""
         n = self.n
-        return _term_evaluator(
-            [(float(c), tuple(exponents(key, n))) for key, c in self.packed.items()])
+        return term_evaluator(term_list({key: float(c) for key, c in self.packed.items()},
+                                        range(n), range(n)))
 
     def primitive(self):
         """The positive rational multiple with integer coefficients of
@@ -546,6 +529,19 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({self.terms!r})"
+
+
+def _power(base, k, one):
+    """base ** k for k >= 0 by square-and-multiply from one, the unit of
+    base's ring: the multiplications of both layers' ``__pow__``, in one
+    order."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return out
 
 
 def _exact(value):
@@ -1071,14 +1067,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(self.ring, ParamRat.one(self.n))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, Poly.const(self.ring, ParamRat.one(self.n)))
 
     def monic(self):
         if self.is_zero:
@@ -1124,14 +1113,7 @@ class Poly:
             terms[new] = c
         return Poly(new_ring, terms, n=self.n, _checked=True)
 
-    # -- evaluation / rendering
-
-    def evaluate(self, var_values, param_values):
-        """Numeric value; var_values maps DiffVar -> float and needs only
-        the variables the terms use, param_values is aligned with parameter
-        declaration order."""
-        identity = {v: v for v in self.ring.vars}
-        return compile_poly(self, identity, param_values)(var_values)
+    # -- rendering
 
     def render(self, names):
         if not self.packed:
@@ -1163,52 +1145,36 @@ class Poly:
         return f"Poly[{self.render(names)}]"
 
 
-def compiled_terms(p, index, values, exact=False):
-    """The compiled term list of a Poly at fixed parameter values: one
-    ``(coef, ((pos, e), ...))`` per term, in dict order, where each term
-    keeps only its nonzero exponents, in ring order, and pos is the position
-    that index gives the variable in the caller's value vector. The
-    coefficients are Fractions with exact=True (values must then be ints or
-    Fractions) and floats otherwise."""
-    conv = Fraction if exact else float
-    return _term_list({key: conv(c.evaluate(values)) for key, c in p.packed.items()},
-                      p.ring.vars, index)
-
-
-def _term_list(terms, ring_vars, index):
+def term_list(terms, ring_vars, index):
+    """The compiled term list of a term dict over the variables ring_vars:
+    one ``(coef, ((pos, e), ...))`` per term, in dict order, where each term
+    keeps its coefficient as it is and only its nonzero exponents, in ring
+    order, and pos is the position that index gives the variable in the
+    caller's value vector. It drops no term, so a coefficient of 0.0 keeps
+    its factors: a float evaluation then raises and rounds as a walk over
+    the full exponent vector does."""
     n = len(ring_vars)
     return [(c, tuple((index[ring_vars[i]], e) for i, e in exponents(key, n)))
             for key, c in terms.items()]
 
 
-def compile_poly(p, index, values, exact=False):
-    """Compile a Poly at fixed parameter values into a function of the
-    caller's value vector; index maps each variable of p's ring that p uses
-    to its position in that vector.
-
-    An evaluation walks the compiled term list (``compiled_terms``), so it
-    does the same multiplications in the same order as a walk over the full
-    exponent vector. With exact=True the coefficients are evaluated as
-    Fractions, so Fraction inputs give the exact value."""
-    return _term_evaluator(compiled_terms(p, index, values, exact),
-                          Fraction(0) if exact else 0.0)
+def compiled_terms(p, index, values):
+    """The term list (``term_list``) of a Poly at fixed float parameter
+    values, each coefficient the float of its value there; index maps each
+    variable of p's ring that p uses to its position in the value
+    vector."""
+    return term_list({key: float(c.evaluate(values)) for key, c in p.packed.items()},
+                     p.ring.vars, index)
 
 
-def compile_exact(terms, ring_vars, index):
-    """Compile a term dict over the variables ring_vars with int or Fraction
-    coefficients into a function of the caller's value vector, as
-    ``compile_poly`` does with exact=True: at int or Fraction values it
-    returns the exact value, a Fraction."""
-    return _term_evaluator(_term_list(terms, ring_vars, index), Fraction(0))
-
-
-def _term_evaluator(terms, zero=0.0):
-    """The function of a value vector that evaluates a compiled term list:
-    the sum, seeded with zero, of the terms in list order, each its
-    coefficient times its factors in list order (the value itself for
-    exponent 1, the value ** e otherwise). It is the one numeric evaluation
-    loop of both layers: ``compile_poly`` (a Poly) and ``ParamPoly.compiled``
-    (a ParamPoly) return it, and ``ParamPoly.evaluate`` runs it."""
+def term_evaluator(terms, zero=0.0):
+    """The function of a value vector that evaluates a compiled term list
+    (``term_list``): the sum, seeded with zero, of the terms in list order,
+    each its coefficient times its factors in list order (the value itself
+    for exponent 1, the value ** e otherwise). It is the one numeric
+    evaluation loop of the package. A float evaluation seeds the sum with
+    0.0, as ``terms_source`` does; an exact one with Fraction(0) or 0, so
+    that a sum of exact terms stays exact."""
     def ev(vals):
         total = zero
         for m, factors in terms:
@@ -1225,7 +1191,7 @@ def _term_evaluator(terms, zero=0.0):
 
 def terms_source(terms, var_names, coef_names):
     """Python expression source of a compiled term list (``compiled_terms``)
-    that evaluates in the float operations and order of ``compile_poly``:
+    that evaluates in the float operations and order of ``term_evaluator``:
     ``0.0 + t1 + t2 + ...`` with each term ``c * v * w ** e``, which Python
     groups left to right, so the sum is seeded with 0.0 (keeping its sign
     of zero), terms come in list order and factors in ring order.

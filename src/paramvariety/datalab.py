@@ -4,8 +4,9 @@ Provides fixed-step RK4 integration with step-halving refinement, exact
 output-derivative jets by symbolic push-forward (total derivatives of the
 observation along the model's vector field, with the parameter values put
 in first: the observation and the right-hand sides become term dicts over
-Q, differentiated by the chain rule of ``algebra.dict_derivative`` and
-evaluated in Fraction arithmetic), the closed-form solution of the
+Q, differentiated by the chain rule of ``algebra.dict_derivative``,
+compiled by ``algebra.term_list`` and evaluated in Fraction arithmetic by
+``algebra.term_evaluator``), the closed-form solution of the
 two-compartment viral decay model, a central finite-difference fallback for
 externally measured series, and the CSV dataset format shared with the
 variety estimator.
@@ -13,10 +14,10 @@ variety estimator.
 The RK4 runs in one straight-line Python function generated per
 integration (``_rk4_kernel``). Its right-hand sides come from the compiled
 term lists of ``algebra.compiled_terms`` through ``algebra.terms_source``,
-so they do the float operations of ``algebra.compile_poly`` in the same
+so they do the float operations of ``algebra.term_evaluator`` in the same
 order, and its stages keep the operation order of the numpy formulation:
 the states are bit for bit the same as evaluating the model with
-``compile_poly`` under numpy-style stages.
+``term_evaluator`` under numpy-style stages.
 
 numpy is imported inside the float functions (``integrate_model``,
 ``central_difference``, ``make_dataset``) on their first call, not with
@@ -35,10 +36,10 @@ from .algebra import (
     MonomialOrder,
     ParamRat,
     Poly,
-    compile_exact,
-    compile_poly,
     compiled_terms,
     dict_derivative,
+    term_evaluator,
+    term_list,
     terms_source,
 )
 from .errors import (
@@ -124,13 +125,27 @@ def _param_vector(model, params):
 
 
 def check_assumptions(model, params):
-    """Raise when a declared-nonzero parameter combination vanishes."""
+    """Raise UsageError when a declared-nonzero parameter combination
+    vanishes, or a denominator of a coefficient of the model's right-hand
+    sides or observation does. A denominator is evaluated at the float
+    parameters, as the RK4 right-hand sides are, and at their exact values,
+    as the jets are: rounding can make it vanish in one and not the
+    other."""
     values = _param_vector(model, params)
     for poly in model.assume_nonzero:
         if poly.evaluate(values) == 0.0:
             raise UsageError(
                 f"parameter point violates nonzero assumption "
                 f"{poly.render(model.params)} != 0")
+    exact = [Fraction(a) for a in values]
+    sides = [f"d{s}/dt" for s in model.states] + [model.output]
+    for side, p in zip(sides, (*model.f, model.g)):
+        for c in p.packed.values():
+            den = c.den
+            if not den.is_constant and not (den.evaluate(values) and den.evaluate(exact)):
+                raise UsageError(
+                    f"the denominator {den.render(model.params)} of a coefficient "
+                    f"of {side} vanishes at the parameter point")
 
 
 def _state_index(model):
@@ -179,7 +194,7 @@ def _rk4_kernel(model, params):
     coefficient is one name of the exec namespace, bound as a default
     argument and shared by the four stages. Each right-hand side is
     algebra.terms_source of its compiled term list, so it runs the float
-    operations of compile_poly in the same order; the stages are
+    operations of term_evaluator in the same order; the stages are
     x + half k and x + sixth (((k1 + 2 k2) + 2 k3) + k4)."""
     if model.inputs:
         raise NotImplementedError(
@@ -225,11 +240,11 @@ def _rk4_kernel(model, params):
 def integrate_model(model, params, x0, grid):
     """Classical RK4 along the given time grid.
 
-    The substep is refined by halving until the outputs change by less than
+    The substep is refined by halving until the states change by less than
     _REL_TOL relative (at most _MAX_HALVINGS extra refinements). Every segment
     of every refinement runs in one kernel generated for this call
     (_rk4_kernel): straight-line code on Python float locals whose
-    right-hand sides evaluate in compile_poly's operation order (sum seeded
+    right-hand sides evaluate in term_evaluator's operation order (sum seeded
     with 0.0, terms in dict order, factors in ring order) and whose stages
     are x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the order of
     the numpy formulation they replace, so the states are bit for bit those
@@ -272,7 +287,8 @@ def integrate_model(model, params, x0, grid):
             break
         states, mult = finer, mult * 2
 
-    g = compile_poly(model.g, _state_index(model), _param_vector(model, params))
+    g = term_evaluator(compiled_terms(model.g, _state_index(model),
+                                      _param_vector(model, params)))
     outputs = [g(x) for x in states.tolist()]
     return Trajectory(times=grid, states=states, outputs=np.array(outputs),
                       params=dict(params), x0=x0)
@@ -283,19 +299,19 @@ def integrate_model(model, params, x0, grid):
 # ---------------------------------------------------------------------------
 
 def _lie_velocity(model, values, order):
-    """The ring of the push-forward (the current state, then each input's
-    jet to u^(order)) and the vector field of the total time derivative over
-    it at the exact parameter values: one term dict over Q per ring
-    variable, in ring order. x -> the model right-hand side,
+    """The ring of the push-forward and the vector field of the total time
+    derivative over it at the exact parameter values: one term dict over Q
+    per ring variable, in ring order. x -> the model right-hand side,
     u^(k) -> u^(k+1) for k < order, and None for u^(order), which the field
-    leaves constant. The right-hand sides are evaluated only for order > 0,
-    the only case that differentiates."""
-    vars = [DiffVar(s, 0) for s in reversed(model.states)]
-    for k in range(order, -1, -1):
-        for u in reversed(model.inputs):
-            vars.append(DiffVar(u, k))
-    ring = MonomialOrder(vars)
-    velocity = [None] * len(vars)
+    leaves constant. The ring lists the variables in the order of the value
+    vector of ``_point_values`` (the state, then each input's jet u, ...,
+    u^(order)), so ``ring.index`` gives their positions there. The
+    right-hand sides are evaluated only for order > 0, the only case that
+    differentiates."""
+    ring = MonomialOrder([DiffVar(s, 0) for s in model.states]
+                         + [DiffVar(u, k) for u in model.inputs
+                            for k in range(order + 1)])
+    velocity = [None] * len(ring)
     if order:
         for s, fi in zip(model.states, model.f):
             velocity[ring.index[DiffVar(s, 0)]] = _at(fi.rering(ring), values)
@@ -312,34 +328,20 @@ def _at(p, values):
     return {key: v for key, c in p.packed.items() if (v := c.evaluate(values))}
 
 
-def _point_index(model, order):
-    """Positions of the state and of each input's jet u, ..., u^(order) in
-    the value vector that _point_values builds."""
-    index = _state_index(model)
-    for u in model.inputs:
-        for k in range(order + 1):
-            index[DiffVar(u, k)] = len(index)
-    return index
-
-
-def _point_values(model, state, u_jet, order, convert):
-    """The value vector of one point, every value passed through convert:
-    the state, then each input's jet u, ..., u^(order). u_jet must give
-    each input up to u^(order-1); u^(order), when not given, reads 0."""
-    vals = [convert(x) for x in state]
+def _point_values(model, state, u_jet, order):
+    """The value vector of one point as exact Fractions (a float converts
+    without rounding): the state, then each input's jet u, ..., u^(order).
+    u_jet must give each input up to u^(order-1); u^(order), when not
+    given, reads 0."""
+    vals = [Fraction(x) for x in state]
     for m, u in enumerate(model.inputs):
         jet = list(u_jet[m]) if m < len(u_jet) else []
         if len(jet) < order:
             raise JetOrderMismatch(
                 f"input {u!r} needs a jet of order {order - 1}, got {len(jet) - 1}")
         jet = (jet + [0] * (order + 1))[:order + 1]
-        vals += [convert(v) for v in jet]
+        vals += [Fraction(v) for v in jet]
     return vals
-
-
-def _exact_value(x):
-    """A data value as an exact Fraction; floats convert without rounding."""
-    return x if isinstance(x, Fraction) else Fraction(float(x))
 
 
 def _jet_evaluator(model, params, order):
@@ -352,16 +354,16 @@ def _jet_evaluator(model, params, order):
     so they satisfy the input-output equation exactly there. A model
     coefficient whose denominator vanishes at the parameters raises
     ZeroDivisionError."""
-    values = [_exact_value(a) for a in _param_vector(model, params)]
+    values = [Fraction(a) for a in _param_vector(model, params)]
     ring, velocity = _lie_velocity(model, values, order)
     jets = [_at(model.g.rering(ring), values)]
     for _ in range(order):
         jets.append(dict_derivative(jets[-1], velocity))
-    index = _point_index(model, order)
-    evs = [compile_exact(jet, ring.vars, index) for jet in jets]
+    evs = [term_evaluator(term_list(jet, ring.vars, ring.index), Fraction(0))
+           for jet in jets]
 
     def evaluate(state, u_jet=()):
-        vals = _point_values(model, state, u_jet, order, _exact_value)
+        vals = _point_values(model, state, u_jet, order)
         return tuple(ev(vals) for ev in evs)
 
     return evaluate

@@ -4,9 +4,10 @@ data-consistent parameters.
 
 Exact data (Fraction jets, as symbolic push-forward pseudo-data carries)
 give an exact linear system, solved on integers by one fraction-free
-(Bareiss) elimination of all its rows; float data (measured, closed-form or finite-difference jets) are solved in
-floating point behind a condition-number gate. Data values entering the
-constraint polynomials are rationalized exactly (0.8512 -> 8512/10000).
+(Bareiss) elimination of all its rows; float data (measured, closed-form or
+finite-difference jets) are solved in floating point behind a
+condition-number gate. Data values entering the constraint polynomials are
+rationalized exactly (0.8512 -> 8512/10000).
 
 The sampler compiles its equations and their Jacobian once per call
 (``ParamPoly.compiled``), so a Newton step evaluates float term lists
@@ -26,12 +27,11 @@ from fractions import Fraction
 
 from .algebra import (
     ParamPoly,
-    ParamRat,
-    Poly,
-    compile_poly,
     dict_partial,
     exponents,
     support,
+    term_evaluator,
+    term_list,
 )
 from .errors import IllConditioned, InsufficientData, JetOrderMismatch, UsageError
 
@@ -78,8 +78,11 @@ def build_linear_system(basis, data):
 
     Returns (matrix, rhs) with matrix[i][l] = f_l at row i and
     rhs[i] = the parameter-free side at row i. When every jet value is an
-    int or Fraction the arrays hold exact Fractions (dtype object);
-    otherwise they are float arrays.
+    int or Fraction the arrays hold exact values (dtype object); otherwise
+    they are float arrays. Each column compiles its monomial with
+    coefficient 1, and the rhs its exact coefficients, as floats for float
+    data; every sum is seeded with 0, which leaves a float sum as a 0.0 seed
+    does and an exact one exact.
     """
     import numpy as np
 
@@ -93,11 +96,12 @@ def build_linear_system(basis, data):
     rows = [[data.jet_value(i, var, out_name, input_names) for var in ring.vars]
             for i in range(len(data.times))]
     exact = all(_is_rational(x) for vals in rows for x in vals)
-    index = {var: j for j, var in enumerate(ring.vars)}
-    one = ParamRat.one(basis.rhs.n)
-    cols = [compile_poly(Poly(ring, {ring.pack(m): one}, n=one.n, _checked=True), index, (),
-                         exact) for m in basis.monos]
-    rhs = compile_poly(basis.rhs, index, (), exact)
+    cols = [term_evaluator(term_list({ring.pack(m): 1}, ring.vars, ring.index), 0)
+            for m in basis.monos]
+    rhs_terms = {key: c.evaluate(()) for key, c in basis.rhs.packed.items()}
+    if not exact:
+        rhs_terms = {key: float(c) for key, c in rhs_terms.items()}
+    rhs = term_evaluator(term_list(rhs_terms, ring.vars, ring.index), 0)
     matrix = [[col(vals) for col in cols] for vals in rows]
     dtype = object if exact else float
     return (np.array(matrix, dtype=dtype).reshape(len(rows), basis.n_coeffs),

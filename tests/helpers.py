@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from paramvariety.algebra import DiffVar, MonomialOrder, ParamPoly, ParamRat, Poly, compile_poly
-from paramvariety.datalab import _exact_value, _param_vector, _point_index, _point_values
+from paramvariety.algebra import (
+    DiffVar,
+    MonomialOrder,
+    ParamPoly,
+    ParamRat,
+    Poly,
+    compiled_terms,
+    term_evaluator,
+    term_list,
+)
+from paramvariety.datalab import _param_vector, _point_values
 from paramvariety.errors import IllConditioned, MissingLeading
 from paramvariety.extension import _by_leading, _state_jet_vars, _z_powers
 
@@ -38,6 +47,14 @@ def xy_ring():
 def poly_of(ring, n, mapping):
     """Poly from {mono mapping or exps: coeff-int/Fraction/ParamRat}."""
     return Poly(ring, mapping, n=n)
+
+
+def poly_value(p, var_values, param_values):
+    """Float value of a Poly: var_values maps DiffVar -> float and needs
+    only the variables the terms use, param_values is aligned with the
+    parameter declaration order."""
+    identity = {v: v for v in p.ring.vars}
+    return term_evaluator(compiled_terms(p, identity, param_values))(var_values)
 
 
 def random_parampoly(rng, n, max_terms=3, max_deg=2, coeff=5):
@@ -132,14 +149,12 @@ def input_model_texts():
 
 def symbolic_velocity(model, order):
     """The push-forward ring of ``datalab`` (the current state, then each
-    input's jet to u^(order)) and the vector field of the total time
-    derivative over it as Polys over Q(a): x -> the model right-hand side,
-    u^(k) -> u^(k+1) for k < order."""
-    vars = [DiffVar(s, 0) for s in reversed(model.states)]
-    for k in range(order, -1, -1):
-        for u in reversed(model.inputs):
-            vars.append(DiffVar(u, k))
-    ring = MonomialOrder(vars)
+    input's jet u, ..., u^(order), the order of its value vector) and the
+    vector field of the total time derivative over it as Polys over Q(a):
+    x -> the model right-hand side, u^(k) -> u^(k+1) for k < order."""
+    ring = MonomialOrder([DiffVar(s, 0) for s in model.states]
+                         + [DiffVar(u, k) for u in model.inputs
+                            for k in range(order + 1)])
     velocity = {DiffVar(s, 0): fi.rering(ring) for s, fi in zip(model.states, model.f)}
     for u in model.inputs:
         for k in range(order):
@@ -152,15 +167,19 @@ def symbolic_jet(model, params, state, order, u_jet=()):
     differentiated along ``symbolic_velocity`` with rational-function
     coefficients, then evaluated exactly at the exact values of the float
     parameters, state and input jet."""
-    values = [_exact_value(a) for a in _param_vector(model, params)]
+    values = [Fraction(a) for a in _param_vector(model, params)]
     ring, velocity = symbolic_velocity(model, order)
-    index = _point_index(model, order)
-    vals = _point_values(model, state, u_jet, order, _exact_value)
+    vals = _point_values(model, state, u_jet, order)
+
+    def value(p):
+        terms = {key: c.evaluate(values) for key, c in p.packed.items()}
+        return term_evaluator(term_list(terms, ring.vars, ring.index), Fraction(0))(vals)
+
     cur = model.g.rering(ring)
-    out = [compile_poly(cur, index, values, exact=True)(vals)]
+    out = [value(cur)]
     for _ in range(order):
         cur = cur.derivative(velocity)
-        out.append(compile_poly(cur, index, values, exact=True)(vals))
+        out.append(value(cur))
     return tuple(out)
 
 
@@ -170,15 +189,18 @@ def state_jet(model, params, state, order, u_jet=()):
     floats. Each input needs its jet u, u', ..., u^(order-1) in u_jet."""
     values = _param_vector(model, params)
     ring, velocity = symbolic_velocity(model, order)
-    index = _point_index(model, order)
-    vals = _point_values(model, state, u_jet, order, float)
+    vals = [float(v) for v in _point_values(model, state, u_jet, order)]
+
+    def value(p):
+        return term_evaluator(compiled_terms(p, ring.index, values))(vals)
+
     out = {}
     for s in model.states:
         cur = Poly.var(ring, DiffVar(s, 0), model.nparams)
-        out[DiffVar(s, 0)] = compile_poly(cur, index, values)(vals)
+        out[DiffVar(s, 0)] = value(cur)
         for k in range(1, order + 1):
             cur = cur.derivative(velocity)
-            out[DiffVar(s, k)] = compile_poly(cur, index, values)(vals)
+            out[DiffVar(s, k)] = value(cur)
     return out
 
 
@@ -214,7 +236,7 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
             def residual(r):
                 trial = dict(values)
                 trial[z] = r
-                return max(abs(h.evaluate(trial, pvec)) for h in cands[1:])
+                return max(abs(poly_value(h, trial, pvec)) for h in cands[1:])
             roots.sort(key=residual)
         values[z] = roots[0]
     return {v: values[v] for v in values if v.base in state_names}
@@ -223,7 +245,7 @@ def reconstruct_state_jet(model, gb, jet_values, params, up_to_order=None):
 def _univariate_roots(g, z, values, pvec):
     """Real roots in z of g with every other variable set from values."""
     d = g.degree_in(z)
-    coeffs = [Poly(g.ring, t, n=g.n, _checked=True).evaluate(values, pvec)
+    coeffs = [poly_value(Poly(g.ring, t, n=g.n, _checked=True), values, pvec)
               for t in _z_powers(g.packed, g.ring, z, d)]
     if d == 1:
         if coeffs[0] == 0.0:

@@ -14,6 +14,8 @@ VIRAL = str(MODELS / "viral.model")
 DECAY = str(MODELS / "decay.model")
 STATE_ASSUMED = str(Path(__file__).resolve().parent / "data"
                     / "state_assumed_nonzero.model")
+VANISHING = str(Path(__file__).resolve().parent / "data"
+                / "vanishing_denominator.model")
 
 GEN_2D = [
     "--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
@@ -340,6 +342,10 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
     ["ioeq", "--model", STATE_ASSUMED],
     ["variety", "--params", "a4=0.5,a5=0.3,a6=1.2,a7=0.8",
      "--x0", "x2=a7*(a6,x3=2"],
+    ["variety", "--params", "a1=0,a2=1", "--x0", "x1=1", "--model", VANISHING],
+    ["pseudo", "--params", "a1=0,a2=1", "--x0", "x1=1", "--model", VANISHING],
+    ["pseudo", "--params", "a1=0,a2=1", "--x0", "x1=1", "--method",
+     "finite-difference", "--model", VANISHING],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
@@ -348,7 +354,8 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
         "negative-samples", "sample-without-samples", "variety-negative-samples",
         "reversed-range", "repeated-free", "unknown-x0-state", "repeated-param",
         "repeated-x0", "repeated-range", "state-in-x0", "state-in-assumption",
-        "bad-x0-expression"])
+        "bad-x0-expression", "model-denominator-vanishes",
+        "pseudo-model-denominator-vanishes", "difference-model-denominator-vanishes"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2

@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from paramvariety.algebra import DiffVar
 from paramvariety.datalab import (
     DataSet,
     central_difference,
+    check_assumptions,
     exact_viral_solution,
     integrate_model,
     is_viral_template,
@@ -419,6 +422,33 @@ def test_assumption_violation_rejected(viral_model):
     with pytest.raises(ValueError):
         integrate_model(viral_model, dict(a4=0.1, a5=1.0, a6=1.0, a7=5.0),
                         [1.0, 1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("rhs, output, params, zero_at, side", [
+    ("x1/a1 - a2*x1", "x1", {"a1": 0.0, "a2": 1.0}, (True, True), "dx1/dt"),
+    # a2*a3 rounds to a1 in floats: only the float coefficient of the RK4
+    # right-hand side divides by zero
+    ("x1/(a1 - a2*a3)", "x1", {"a1": 0.30000000000000004, "a2": 0.1, "a3": 3.0},
+     (True, False), "dx1/dt"),
+    # the float sum rounds 1e16 + 1 + 1 to 1e16: only the exact coefficient
+    # of the jets divides by zero
+    ("x1/(a1 + a2 + a3 + a4)", "x1",
+     {"a1": 1e16, "a2": 1.0, "a3": 1.0, "a4": -(1e16 + 2)}, (False, True), "dx1/dt"),
+    ("-x1", "x1/a1", {"a1": 0.0}, (True, True), "y"),
+], ids=["both", "float-only", "exact-only", "observation"])
+def test_vanishing_model_denominator_rejected(rhs, output, params, zero_at, side):
+    model = parse_model(f"states: x1\noutput: y\nparams: {' '.join(params)}\n"
+                        f"horizon: 0 5\ndx1/dt = {rhs}\ny = {output}\n")
+    (c,) = (model.f[0] if side == "dx1/dt" else model.g).packed.values()
+    values = list(params.values())
+    assert (c.den.evaluate(values) == 0,
+            c.den.evaluate([Fraction(v) for v in values]) == 0) == zero_at
+    message = f"the denominator {c.den.render(model.params)} of a coefficient of {side}"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        check_assumptions(model, params)
+    for method in ("symbolic", "finite-difference"):
+        with pytest.raises(UsageError, match="vanishes at the parameter point"):
+            make_dataset(model, params, [1.0], [1.0], order=1, method=method)
 
 
 # ---------------------------------------------------------------------------

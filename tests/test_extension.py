@@ -31,7 +31,14 @@ from paramvariety.ioeq import derive_io_basis
 from paramvariety.model import load_model, parse_model, prolong
 
 from .conftest import MODELS
-from .helpers import derive_inputs, pp, random_poly, reconstruct_state_jet, xy_ring
+from .helpers import (
+    derive_inputs,
+    poly_value,
+    pp,
+    random_poly,
+    reconstruct_state_jet,
+    xy_ring,
+)
 
 
 def _reduced(model, order):
@@ -236,7 +243,7 @@ def test_certified_points_extend(viral_model, viral_io, viral_rgb):
         pvec = [params[p] for p in viral_model.params]
         full_scale = max(scale, max(abs(v) for v in states.values()))
         for gen in psys.gens:
-            assert abs(gen.evaluate(values, pvec)) <= 1e-6 * full_scale
+            assert abs(poly_value(gen, values, pvec)) <= 1e-6 * full_scale
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +370,8 @@ def _ref_clear_denominators(poly):
     if content > 1:
         cleared = {m: ParamPoly(p.n, {e: c // content for e, c in p.terms.items()})
                    for m, p in cleared.items()}
-    if cleared[max(cleared)].lead()[1] < 0:
+    lead = cleared[max(cleared)].packed
+    if lead[max(lead)] < 0:
         cleared = {m: -p for m, p in cleared.items()}
     return cleared
 
