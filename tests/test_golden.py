@@ -3,8 +3,10 @@ reports and the ioeq.txt/extension.txt artifacts the CLI writes, and pins of
 the data path: the coefficient values, the solve residual and the constraint
 equations of ``paramvariety variety`` runs, the dataset CSVs that
 ``paramvariety pseudo`` writes (RK4 states, push-forward jets and finite
-differences), and the float coefficient systems that ``build_linear_system``
-assembles from closed-form and finite-difference jets.
+differences), the float coefficient systems that ``build_linear_system``
+assembles from closed-form and finite-difference jets, and the samples.csv
+and SVG projections that ``paramvariety sample`` and ``paramvariety variety
+--samples`` write.
 
 The data file holds sha256 digests only. A change to the algebra that is
 meant to keep every output byte-identical must leave them all equal; a
@@ -68,6 +70,35 @@ SYSTEM_RUNS = [
      [1.0, 2.0], 0.0, [0.7, 1.3, 2.2, 3.1, 4.4, 5.9, 7.5]),
 ]
 
+VIRAL_RANGES = "a4=0:5.76,a5=0:1,a7=0:8"
+# (label, CLI arguments, files): sampler runs on the viral relation (with an
+# SVG projection), on exact LV coefficients at the nominal point (a6 leaves
+# its range at large a3), on virus_full over two free parameters (half the
+# grid skipped) and after a variety run on pseudo-data
+SAMPLE_RUNS = [
+    ("viral-a4",
+     ["sample", "--model", "viral", "--v", "0.8512,5.76", "--free", "a4",
+      "--samples", "32", "--ranges", VIRAL_RANGES, "--axes", "a4:a7"],
+     ("samples.csv", "variety_a4_a7.svg")),
+    ("lotka_volterra-a3",
+     ["sample", "--model", "lotka_volterra", "--v", "0.5,-12,22,0,12,-1.5",
+      "--free", "a3", "--samples", "12", "--ranges",
+      "a1=0.3:3,a2=0.15:1.5,a3=1.5:15,a4=0.3:3,a5=0.06:0.6,a6=1:7.2"],
+     ("samples.csv",)),
+    ("virus_full-a1-a5",
+     ["sample", "--model", "virus_full",
+      "--v=-0.0765,4.5e-07,0.053,1.59e-06,-5.3,5.31,3e-07",
+      "--free", "a1,a5", "--samples", "16", "--ranges",
+      "a1=457500:4575000,a2=0.003:0.03,a3=9e-8:9e-7,a4=0.09:0.9,a5=0.5:0.99,"
+      "a6=0.6:6,a7=1.5:15"],
+     ("samples.csv",)),
+    ("viral-variety-seed1",
+     ["variety", "--model", "viral", "--params", NOMINAL["viral"][0],
+      "--x0", NOMINAL["viral"][1], "--seed", "1", "--samples", "16",
+      "--free", "a4", "--ranges", VIRAL_RANGES],
+     ("samples.csv",)),
+]
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -129,6 +160,14 @@ def system_hashes(name, method, params, x0, t0, times):
             "rhs": _sha(" ".join(float.hex(x) for x in rhs.tolist()))}
 
 
+def sample_hashes(args, files, out):
+    """Digests of the bytes of the files a sampler run writes."""
+    command, _, model, *rest = args
+    assert main([command, "--model", str(MODELS / f"{model}.model"), *rest,
+                 "--out", str(out)]) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+
+
 def _texts():
     return {**derive_inputs(), **input_model_texts()}
 
@@ -166,6 +205,12 @@ def test_float_system_matches_golden(label, name, method, params, x0, t0, times)
     assert got == _golden()["float_system"][label]
 
 
+@pytest.mark.parametrize("label, args, files", SAMPLE_RUNS,
+                         ids=[run[0] for run in SAMPLE_RUNS])
+def test_samples_match_golden(label, args, files, tmp_path):
+    assert sample_hashes(args, files, tmp_path) == _golden()["samples"][label]
+
+
 def test_golden_covers_every_input():
     golden = _golden()
     assert sorted(golden["derivations"]) == sorted(_texts())
@@ -173,6 +218,7 @@ def test_golden_covers_every_input():
     assert sorted(golden["data_path"]) == sorted(label for label, _, _ in DATA_RUNS)
     assert sorted(golden["pseudo"]) == sorted(run[0] for run in PSEUDO_RUNS)
     assert sorted(golden["float_system"]) == sorted(run[0] for run in SYSTEM_RUNS)
+    assert sorted(golden["samples"]) == sorted(run[0] for run in SAMPLE_RUNS)
 
 
 if __name__ == "__main__":
@@ -188,6 +234,8 @@ if __name__ == "__main__":
             "pseudo": {label: pseudo_hash(name, method, seed, Path(tmp))
                        for label, name, method, seed in PSEUDO_RUNS},
             "float_system": {run[0]: system_hashes(*run[1:]) for run in SYSTEM_RUNS},
+            "samples": {label: sample_hashes(args, files, Path(tmp))
+                        for label, args, files in SAMPLE_RUNS},
         }
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
