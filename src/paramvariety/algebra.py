@@ -43,18 +43,20 @@ This module is also the one place that differentiates and evaluates term
 dicts. ``dict_derivative`` is the chain rule, a derivative along a vector
 field: ``Poly.derivative`` runs it for the prolongation of ``model``, and
 the output push-forward of ``datalab`` runs it on term dicts over Q, the
-model at fixed parameter values. ``dict_partial`` is the partial
-derivative of a term dict. Every numeric evaluation compiles a term dict
-with ``term_list`` into a compiled term list, one ``(coef, ((pos, e),
-...))`` per term, and walks it with the one evaluation loop,
+model at fixed parameter values. Every numeric evaluation compiles a term
+dict with ``term_list`` into a compiled term list, one ``(coef, ((pos,
+e), ...))`` per term, and walks it with the one evaluation loop,
 ``term_evaluator``: ``ParamPoly.evaluate`` and ``ParamRat.evaluate`` (exact
-at int/Fraction values, in floats at float values), ``ParamPoly.compiled``
-(float coefficients: the Newton sampler of ``variety``), ``compiled_terms``
-(a Poly at fixed float parameter values: the RK4 output of ``datalab``),
-and the push-forward jets and the coefficient system, which compile their
-term dicts directly. ``terms_source`` (the expression source that the
-generated RK4 kernel of ``datalab`` is built from) spells out the loop's
-float operations, so the float evaluation order is defined in one place.
+at int/Fraction values, in floats at float values), ``compiled_terms`` (a
+Poly at fixed float parameter values: the RK4 output of ``datalab``), and
+the push-forward jets and the coefficient system, which compile their term
+dicts directly. ``term_list_partials`` differentiates a compiled term list.
+The loop defines the float evaluation order, and two float evaluators
+do its operations in that order: ``terms_source``, the expression source
+that the generated RK4 kernel of ``datalab`` is built from, and
+``batch_evaluator``, which evaluates many term lists at many points in one
+pass of numpy array operations (the Newton sampler of ``variety``: its
+equations, their Jacobian and the assumptions).
 All values are immutable after construction, so they are safe to share
 between threads.
 
@@ -309,14 +311,6 @@ def dict_axpy(P, c, m, B):
     return P
 
 
-def dict_partial(A, i, n):
-    """Partial derivative in the i-th of n variables. Lowering one positive
-    exponent maps distinct monomials to distinct ones, so no terms collide."""
-    shift = FIELD * (n - 1 - i)
-    unit = 1 << shift
-    return {k - unit: v * e for k, v in A.items() if (e := (k >> shift) & _MASK)}
-
-
 def dict_derivative(A, velocity):
     """Derivative of a term dict along a vector field, the chain rule: the
     sum over the variables i of dA/dx_i * velocity[i]. velocity lists one
@@ -502,17 +496,6 @@ class ParamPoly:
         takes range(n) as both the variables and the index."""
         n = self.n
         return term_evaluator(term_list(self.packed, range(n), range(n)), 0)(values)
-
-    def compiled(self):
-        """Float evaluator of this polynomial: ``term_evaluator`` over its
-        term list with float(c) for each coefficient, built once.
-        At a float parameter vector it returns float(self.evaluate(values))
-        bit for bit: a float times an int or Fraction rounds the coefficient
-        as ``float(c)`` does, and a sum seeded with 0.0 instead of 0 has the
-        same value and sign of zero."""
-        n = self.n
-        return term_evaluator(term_list({key: float(c) for key, c in self.packed.items()},
-                                        range(n), range(n)))
 
     def primitive(self):
         """The positive rational multiple with integer coefficients of
@@ -1187,6 +1170,90 @@ def term_evaluator(terms, zero=0.0):
         return total
 
     return ev
+
+
+def batch_evaluator(term_lists):
+    """The function of a float array of value vectors, one row per point,
+    that evaluates every compiled term list (``term_list``) of term_lists at
+    every point in the float operations of ``term_evaluator``: it returns a
+    C-contiguous points x len(term_lists) float array whose entry [p, k]
+    equals ``term_evaluator(term_lists[k])(values[p])`` bit for bit.
+
+    The terms of all lists are evaluated together, as one terms x points
+    array: float(coef) times its factors in list order, a term with fewer
+    factors than the widest padded with factors of 1.0. The sums are one
+    lists x points array: seeded with +0.0, then each list's terms added in
+    list order, a list with fewer terms than the longest padded with terms
+    of -0.0. x * 1.0 and x + (-0.0) are x, signed zeros, infinities and NaNs
+    included, so the padding changes no value. A power is Python's ``**`` on
+    each value, never numpy's, whose vectorized pow rounds differently. Like
+    Python floats, a product or sum that overflows gives inf or nan with no
+    RuntimeWarning; a power that overflows raises OverflowError, as
+    ``term_evaluator`` does."""
+    import numpy as np
+
+    flat = [factors for terms in term_lists for _, factors in terms]
+    # every term's coefficient, then the padding term -0.0 and the seed +0.0
+    coefs = np.array([float(c) for terms in term_lists for c, _ in terms]
+                     + [-0.0, 0.0])[:, None]
+    pad, seed = len(flat), len(flat) + 1
+    # the rows of a point's value table: 1.0, the powers, then the values
+    keys = [f for factors in flat for f in factors]
+    powers = [f for f in dict.fromkeys(keys) if f[1] != 1]
+    first_value = 1 + len(powers)
+    row = {f: 1 + k for k, f in enumerate(powers)}
+    # factor_rows[j, t]: the table row of the j-th factor of term t, 1.0
+    # after its last (and for every factor of the padding and the seed)
+    width = max([1, *map(len, flat)])
+    factor_rows = np.zeros((len(coefs), width), dtype=np.intp)
+    factor_rows[np.arange(width) < np.array([*map(len, flat), 0, 0])[:, None]] = [
+        first_value + pos if e == 1 else row[pos, e] for pos, e in keys]
+    factor_rows = np.ascontiguousarray(factor_rows.T)
+    # term_rows[j, k]: the j-th term of list k, the seed first and the
+    # padding term after its last
+    sizes = np.array([len(terms) for terms in term_lists], dtype=np.intp)
+    length = int(sizes.max(initial=0))
+    term_rows = np.full((len(term_lists), length + 1), pad, dtype=np.intp)
+    term_rows[:, 0] = seed
+    term_rows[:, 1:][np.arange(length) < sizes[:, None]] = np.arange(len(flat))
+    term_rows = np.ascontiguousarray(term_rows.T)
+
+    def ev(values):
+        values = np.asarray(values, dtype=float)
+        table = np.empty((first_value + values.shape[1], len(values)))
+        table[0] = 1.0
+        if powers:
+            points = values.tolist()
+            table[1:first_value] = [[x[pos] ** e for x in points] for pos, e in powers]
+        table[first_value:] = values.T
+        factors = np.take(table, factor_rows, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = coefs * factors[0]
+            for f in factors[1:]:
+                terms *= f
+            addends = np.take(terms, term_rows, axis=0)
+            total = addends[0].copy()
+            for a in addends[1:]:
+                total += a
+        return total.T.copy()
+
+    return ev
+
+
+def term_list_partials(terms, positions):
+    """The compiled term lists of the partial derivatives of a compiled term
+    list (``term_list``) in the values at each of positions: each keeps the
+    terms that hold the value, in list order, with the coefficient times
+    the exponent and the exponent lowered by one (the factor dropped at 1).
+    Lowering one positive exponent maps distinct monomials to distinct ones,
+    so no terms collide."""
+    out = {pos: [] for pos in positions}
+    for c, factors in terms:
+        for k, (pos, e) in enumerate(factors):
+            if pos in out:
+                lowered = ((pos, e - 1),) if e > 1 else ()
+                out[pos].append((c * e, factors[:k] + lowered + factors[k + 1:]))
+    return [out[pos] for pos in positions]
 
 
 def terms_source(terms, var_names, coef_names):

@@ -9,9 +9,12 @@ finite-difference jets) are solved in floating point behind a
 condition-number gate. Data values entering the constraint polynomials are
 rationalized exactly (0.8512 -> 8512/10000).
 
-The sampler compiles its equations and their Jacobian once per call
-(``ParamPoly.compiled``), so a Newton step evaluates float term lists
-instead of walking exponent vectors in exact arithmetic.
+The sampler compiles its equations, their Jacobian and the assumptions
+once per call, each into one ``algebra.batch_evaluator``, and runs damped
+Gauss-Newton on the whole grid in lockstep rounds: one batched evaluation of
+the residuals and one of the Jacobian per round, then a least-squares step
+and a line-search test per point, so every point does the float operations
+it would do alone.
 
 numpy is imported inside the solve and sampling functions on their first
 call, not with this module, so importing the package does not load it.
@@ -26,18 +29,19 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import (
-    ParamPoly,
-    dict_partial,
+    batch_evaluator,
     exponents,
     support,
     term_evaluator,
     term_list,
+    term_list_partials,
 )
 from .errors import IllConditioned, InsufficientData, JetOrderMismatch, UsageError
 
 COND_THRESHOLD = 1e8
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 60
+_NEWTON_MIN_DAMP = 0.5 ** 29    # the damping of a step's 30th and last trial
 
 
 @dataclass(frozen=True)
@@ -291,11 +295,16 @@ def sample_variety(constraints, free_params, ranges, n):
 
     Grids the free parameters over their ranges and solves the remaining
     constraint parameters by damped (Gauss-)Newton from the midpoint of each
-    solved parameter's range. Points that leave their declared range,
-    violate a nonzero assumption, or fail to converge are skipped, with the
-    count reported. n, the number of grid points asked for, must be an
-    integer of at least 1, every range (lo, hi) must have lo <= hi and no
-    free parameter may be given twice; anything else raises UsageError.
+    solved parameter's range. The grid moves in lockstep rounds
+    (``_gauss_newton``): one batched evaluation of the residuals of every
+    point in a line search and one of the Jacobian of every point that
+    needs a new step, then each point's own least-squares step and
+    accept-or-halve test, so every point takes the steps it would take
+    alone. Points that leave their declared range, violate a nonzero
+    assumption, or fail to converge are skipped, with the count reported.
+    n, the number of grid points asked for, must be an integer of at least
+    1, every range (lo, hi) must have lo <= hi and no free parameter may be
+    given twice; anything else raises UsageError.
     """
     import numpy as np
 
@@ -324,20 +333,16 @@ def sample_variety(constraints, free_params, ranges, n):
     solved_idx = [name_idx[p] for p in solved]
     # row-normalize: rationalized data values can make the cleared integer
     # coefficients huge, and Newton convergence tests must stay in float range
-    row_scale = [max(abs(float(c)) for c in eq.packed.values()) for eq in nontrivial]
+    row_scale = np.array([max(abs(float(c)) for c in eq.packed.values())
+                          for eq in nontrivial])
     # compiled once per call; a row is divided by its scale after evaluation
-    eqs = [eq.compiled() for eq in nontrivial]
-    assumptions = [a.compiled() for a in constraints.assumptions]
-    partials = [[ParamPoly(eq.n, dict_partial(eq.packed, i, eq.n), _checked=True).compiled()
-                 for i in solved_idx] for eq in nontrivial]
-    jac_shape = (len(nontrivial), len(solved))
-
-    def eval_eqs(full):
-        return np.array([f(full) / s for f, s in zip(eqs, row_scale)])
-
-    def eval_jac(full):
-        return np.array([[d(full) / s for d in row]
-                         for row, s in zip(partials, row_scale)]).reshape(jac_shape)
+    eq_terms = [term_list(eq.packed, range(eq.n), range(eq.n)) for eq in nontrivial]
+    eqs = batch_evaluator(eq_terms)
+    partials = batch_evaluator([d for terms in eq_terms
+                                for d in term_list_partials(terms, solved_idx)])
+    assumptions = batch_evaluator([term_list(a.packed, range(a.n), range(a.n))
+                                   for a in constraints.assumptions])
+    jac_scale = np.repeat(row_scale, len(solved))
 
     if free_params:
         per_axis = max(1, round(n ** (1.0 / len(free_params))))
@@ -353,63 +358,82 @@ def sample_variety(constraints, free_params, ranges, n):
     else:
         grid_points = np.zeros((1, 0))
 
+    # parameters outside the constraints play no role; pin them at 1
+    full = np.ones((len(grid_points), len(names)))
+    full[:, [name_idx[p] for p in free_params]] = grid_points
+    full[:, solved_idx] = [0.5 * (ranges[p][0] + ranges[p][1]) for p in solved]
+    converged = _gauss_newton(
+        full, solved_idx,
+        lambda x: eqs(x) / row_scale,
+        lambda x: (partials(x) / jac_scale).reshape(len(x), len(nontrivial), len(solved)))
+    kept = [i for i, ok in enumerate(converged) if ok]
     points = []
-    skipped = 0
-    for gp in grid_points:
-        # parameters outside the constraints play no role; pin them at 1
-        full = [1.0] * len(names)
-        for p, val in zip(free_params, gp):
-            full[name_idx[p]] = float(val)
-        for p in solved:
-            lo, hi = ranges[p]
-            full[name_idx[p]] = 0.5 * (lo + hi)
-        ok = _newton(full, solved_idx, eval_eqs, eval_jac)
-        if not ok:
-            skipped += 1
-            continue
-        in_range = all(ranges[p][0] - 1e-9 <= full[name_idx[p]] <= ranges[p][1] + 1e-9
+    for row, values in zip(full[kept].tolist(), assumptions(full[kept]).tolist()):
+        in_range = all(ranges[p][0] - 1e-9 <= row[name_idx[p]] <= ranges[p][1] + 1e-9
                        for p in cparams)
-        ok_assume = all(abs(a(full)) > 1e-12 for a in assumptions)
-        if not in_range or not ok_assume:
-            skipped += 1
-            continue
-        points.append({p: float(full[name_idx[p]]) for p in cparams})
-    return SampleResult(points=points, skipped=skipped, free_params=free_params)
+        if in_range and all(abs(a) > 1e-12 for a in values):
+            points.append({p: row[name_idx[p]] for p in cparams})
+    return SampleResult(points=points, skipped=len(full) - len(points),
+                        free_params=free_params)
 
 
-def _newton(full, solved_idx, eval_eqs, eval_jac):
-    """Damped Gauss-Newton on the solved positions of full, in place. The
-    norm is sqrt(r . r), the computation of np.linalg.norm on a 1-D float
-    array."""
+def _gauss_newton(full, solved_idx, residuals, jacobian):
+    """Damped Gauss-Newton on the solved columns of every row of full, in
+    place, all rows in lockstep; returns whether each row converged.
+
+    residuals and jacobian map an array of rows to the residual vector and
+    the Jacobian (on the solved columns) of each. Every round evaluates the
+    Jacobian of each row that starts a step and the residuals of each row's
+    trial point in one call each; each row then takes its own
+    np.linalg.lstsq step and its own test, so it runs the steps that it
+    would run alone: up to _NEWTON_MAX_ITER accepted steps, each halved
+    down to _NEWTON_MIN_DAMP until the residual norm drops. The norm is sqrt(r . r) on
+    the row's contiguous residual vector, the computation of np.linalg.norm
+    on a 1-D float array."""
     import numpy as np
 
-    res = eval_eqs(full)
-    norm = math.sqrt(res.dot(res))
+    res = residuals(full)
+    norm = [math.sqrt(r.dot(r)) for r in res]
     if not solved_idx:
-        return norm <= _NEWTON_TOL
-    for _ in range(_NEWTON_MAX_ITER):
-        if norm <= _NEWTON_TOL:
-            return True
-        jac = eval_jac(full)
-        try:
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        except np.linalg.LinAlgError:
-            return False
-        # Python floats, not numpy scalars: the same IEEE operations, cheaper
-        steps = step.tolist()
-        damp = 1.0
-        for _ in range(30):
-            trial = list(full)
-            for i, s in zip(solved_idx, steps):
-                trial[i] = full[i] + damp * s
-            t_res = eval_eqs(trial)
-            t_norm = math.sqrt(t_res.dot(t_res))
-            if t_norm < norm or t_norm <= _NEWTON_TOL:
-                for i in solved_idx:
-                    full[i] = trial[i]
-                res, norm = t_res, t_norm
-                break
-            damp *= 0.5
-        else:
-            return False
-    return norm <= _NEWTON_TOL
+        return [x <= _NEWTON_TOL for x in norm]
+    done = [False] * len(full)
+    taken = [0] * len(full)
+    damp = [1.0] * len(full)
+    step = np.empty((len(full), len(solved_idx)))
+    starting, searching = range(len(full)), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            fresh = []
+            for i in starting:
+                if norm[i] <= _NEWTON_TOL:
+                    done[i] = True
+                elif taken[i] < _NEWTON_MAX_ITER:
+                    fresh.append(i)
+            if fresh:
+                for i, jac, r in zip(fresh, jacobian(full[fresh]), -res[fresh]):
+                    try:
+                        step[i] = np.linalg.lstsq(jac, r, rcond=None)[0]
+                    except np.linalg.LinAlgError:
+                        continue
+                    damp[i] = 1.0
+                    searching.append(i)
+            if not searching:
+                return done
+            trial = full[searching]
+            damps = np.array([damp[i] for i in searching])
+            trial[:, solved_idx] += damps[:, None] * step[searching]
+            t_res = residuals(trial)
+            accepted, starting, still = [], [], []
+            for k, (i, r) in enumerate(zip(searching, t_res)):
+                t_norm = math.sqrt(r.dot(r))
+                if t_norm < norm[i] or t_norm <= _NEWTON_TOL:
+                    norm[i] = t_norm
+                    taken[i] += 1
+                    accepted.append(k)
+                    starting.append(i)
+                elif damp[i] > _NEWTON_MIN_DAMP:
+                    damp[i] *= 0.5
+                    still.append(i)
+            full[starting] = trial[accepted]
+            res[starting] = t_res[accepted]
+            searching = still

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import warnings
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,12 +16,15 @@ from paramvariety.algebra import (
     Poly,
     _canonical,
     _integer_primitive,
+    batch_evaluator,
     dict_mul,
     exact_divide,
     field_guard,
     mono_min,
     pack,
     poly_divide,
+    term_list,
+    term_list_partials,
 )
 from paramvariety.errors import (
     DivisionByZero,
@@ -290,7 +294,13 @@ def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def test_compiled_parampoly_matches_evaluate():
+def _terms(p):
+    return term_list(p.packed, range(p.n), range(p.n))
+
+
+def test_batch_evaluator_matches_evaluate():
+    # every entry is float(ParamPoly.evaluate) at the point, bit for bit,
+    # for several polynomials and several points per call
     rng = random.Random(17)
     coeffs = [lambda: rng.randint(-9, 9) or 1,
               lambda: rng.choice([-1, 1]) * rng.randint(10 ** 20, 10 ** 40),
@@ -301,21 +311,72 @@ def test_compiled_parampoly_matches_evaluate():
     seen = set()
     for _ in range(400):
         n = rng.randint(1, 4)
-        terms = {}
-        for _ in range(rng.choice([0, 1, 2, 3, 5])):
-            exps = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n))
-            terms[exps] = rng.choice(coeffs)()
-        p = ParamPoly(n, terms)
-        seen.add("zero" if p.is_zero else "constant" if p.is_constant else "general")
-        seen.update(f"e={e}" for exps in p.terms for e in exps if e)
-        f = p.compiled()
-        for _ in range(5):
-            x = [rng.choice(values)() for _ in range(n)]
-            want = float(p.evaluate(x))
-            got = f(x)
-            assert type(got) in (float, np.float64)
-            assert _same_float(got, want), (p, x, got, want)
-    assert {"zero", "constant", "general", "e=1", "e=2", "e=3"} <= seen
+        polys = []
+        for _ in range(rng.randint(1, 4)):
+            terms = {}
+            for _ in range(rng.choice([0, 1, 2, 3, 5])):
+                # the LV constraints reach degree 8
+                exps = tuple(rng.choice([0, 0, 1, 2, 3, rng.randint(4, 8)]) for _ in range(n))
+                terms[exps] = rng.choice(coeffs)()
+            p = ParamPoly(n, terms)
+            seen.add("zero" if p.is_zero else "constant" if p.is_constant else "general")
+            seen.update(f"e={e}" for exps in p.terms for e in exps if e)
+            polys.append(p)
+        f = batch_evaluator([_terms(p) for p in polys])
+        points = [[rng.choice(values)() for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        got = f(np.array(points))
+        assert got.shape == (len(points), len(polys)) and got.flags.c_contiguous
+        for row, x in zip(got.tolist(), points):
+            for value, p in zip(row, polys):
+                want = float(p.evaluate(x))
+                assert _same_float(value, want), (p, x, value, want)
+    assert {"zero", "constant", "general"} <= seen
+    assert {f"e={e}" for e in range(1, 9)} <= seen
+
+
+def test_batch_evaluator_overflows_as_python_floats_do():
+    # products and sums that overflow give inf or nan as Python floats do,
+    # with no RuntimeWarning; a power that overflows raises OverflowError
+    rng = random.Random(29)
+    values = [1e300, -1e300, 1e200, 1e160, -1e160, 1.5, -0.0]
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.choice([0, 1, 1, 2]) for _ in range(n))
+                terms[exps] = rng.choice([-1, 1]) * rng.randint(10 ** 20, 10 ** 40)
+            p = ParamPoly(n, terms)
+            f = batch_evaluator([_terms(p)])
+            points = [[rng.choice(values) for _ in range(n)] for _ in range(3)]
+            for x in points:
+                try:
+                    want = float(p.evaluate(x))
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        f([x])
+                    seen.add("power overflow")
+                    continue
+                got = f([x])[0, 0]
+                seen.add(repr(want) if not math.isfinite(want) else "finite")
+                assert _same_float(got, want) or math.isnan(got) and math.isnan(want)
+    assert seen == {"inf", "-inf", "nan", "finite", "power overflow"}
+
+
+def test_term_list_partials_match_exponent_tuples():
+    # the partial of a term list is the term list of the partial computed on
+    # exponent tuples, terms and coefficients alike
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        p = random_parampoly(rng, n, max_terms=6, max_deg=4, coeff=10 ** 6)
+        positions = rng.sample(range(n), rng.randint(0, n))
+        for pos, got in zip(positions, term_list_partials(_terms(p), positions)):
+            want = {k[:pos] + (k[pos] - 1,) + k[pos + 1:]: c * k[pos]
+                    for k, c in p.terms.items() if k[pos]}
+            assert got == _terms(ParamPoly(n, want))
 
 
 # ---------------------------------------------------------------------------

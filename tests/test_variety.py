@@ -409,11 +409,75 @@ VIRUS_FULL_PARAMS = {"a1": "1525000", "a2": "0.01", "a3": "3e-7", "a4": "0.3",
                      "a5": "0.9", "a6": "2", "a7": "5"}
 
 
+def _ref_branches(cons, free, ranges, n, monkeypatch):
+    """The branch the reference takes at each grid point, seen from outside:
+    the reference runs on each point alone (its free values as one-point
+    ranges, which start Newton where the grid does) while np.linalg.lstsq
+    and np.linalg.norm are recorded. Each point gives (branch, trials), the
+    number of norms tried after each of its steps. The branch is
+    "converged" when the point is kept; "range" or "assumption" when it
+    converged (last norm within the tolerance) and a check rejected it,
+    "assumption" when the same run without assumptions keeps it; "halvings"
+    when its last step found no smaller norm in 30 trials; "iterations" when
+    its 60th step was accepted without converging."""
+    per_axis = max(1, round(n ** (1.0 / len(free))))
+    axes = [np.linspace(ranges[p][0] + 0.5 * (ranges[p][1] - ranges[p][0]) / per_axis,
+                        ranges[p][1] - 0.5 * (ranges[p][1] - ranges[p][0]) / per_axis,
+                        per_axis) for p in free]
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    lstsq, norm = np.linalg.lstsq, np.linalg.norm
+    free_of_assumptions = VarietyConstraints(v=cons.v, equations=cons.equations,
+                                             param_names=cons.param_names)
+    out = []
+    for gp in grid:
+        one = dict(ranges, **{p: (float(x), float(x)) for p, x in zip(free, gp)})
+        norms = [[]]       # the start's norm, then the trials of each step
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: norms.append([]) or lstsq(*a, **k))
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x: norms[-1].append(float(norm(x))) or norm(x))
+        kept, _ = _ref_sample_variety(cons, free, one, 1)
+        monkeypatch.undo()
+        trials = [len(t) for t in norms[1:]]
+        if kept:
+            branch = "converged"
+        elif norms[-1][-1] <= 1e-10:
+            again, _ = _ref_sample_variety(free_of_assumptions, free, one, 1)
+            branch = "assumption" if again else "range"
+        elif norms[-1][-1] < norms[-2][-1]:
+            assert len(trials) == 60
+            branch = "iterations"
+        else:
+            assert trials[-1] == 30
+            branch = "halvings"
+        out.append((branch, trials))
+    return out
+
+
+# one equation in a1 (solved) and a2 (free): its terms, the a1 and a2 ranges
+# (a1's midpoint starts Newton) and the grid size; each runs a point to a
+# limit of Newton and keeps it
+NEWTON_LIMITS = {
+    # (a1 a2)^5 = 0: each step takes a1 to 4/5 of it, and one point
+    # converges on the 60th step
+    "newton-60-steps": ({(5, 5): 1}, (0.0, 2.0e3), (0.5, 8.0), 8),
+    # a1^4 = a2 from a1 = 2^-10: one point's first step is accepted on its
+    # 30th trial
+    "newton-29-halvings": ({(4, 0): 1, (0, 1): -1}, (-4.0, 4.0 + 2.0 ** -9),
+                           (0.0, 64.0), 16),
+    # a1^6 = a2 from a1 = 2^-6: one point halves 30 times over its steps,
+    # each step starting from a full one
+    "newton-30-halvings-in-all": ({(6, 0): 1, (0, 1): -1}, (-1.0, 1.0 + 2.0 ** -5),
+                                  (0.0, 4.0), 16),
+}
+
+
 @pytest.mark.parametrize("case", ["viral-a4", "viral-a4-a5", "viral-skips", "lv-a3",
-                                  "virus_full-a1-a5", "decay"])
+                                  "virus_full-a1-a5", "decay", "viral-mixed-iterations",
+                                  "viral-mixed-halvings", *NEWTON_LIMITS])
 def test_sampler_matches_evaluate_reference(case, viral_model, viral_io, lv_model,
                                             lv_io, decay_model, decay_io,
-                                            virus_full_model):
+                                            virus_full_model, monkeypatch):
     if case.startswith("viral"):
         model, basis, v = viral_model, viral_io, [0.8512, 5.76]
         free, ranges, n = ["a4"], VIRAL_RANGES, 12
@@ -422,6 +486,16 @@ def test_sampler_matches_evaluate_reference(case, viral_model, viral_io, lv_mode
         elif case == "viral-skips":
             # a7 = 5.76 - a4 leaves its range below a4 = 0.76
             ranges = dict(VIRAL_RANGES, a7=(0.0, 5.0))
+        elif case.startswith("viral-mixed"):
+            # a4 over 0.25, 0.75, ..., 3.75 with a4 + a7 = 3.75: a4 = 3.75
+            # puts a7 at 0, where a4 a5 a7 = v1 has no solution; a4 a7 = v1
+            # puts a5 at 1 against the a5 - 1 assumption (a4 = 0.75 for
+            # 2.25, a4 = 1.25 for 3.125); small a4 need a5 above 1
+            v, n = [2.25, 3.75], 8
+            ranges = {"a4": (0.0, 4.0), "a5": (0.0, 1.0), "a7": (0.0, 4.0)}
+            if case == "viral-mixed-halvings":
+                v = [3.125, 3.75]
+                ranges = dict(ranges, a7=(0.0, 3.2))
     elif case == "lv-a3":
         model, basis = lv_model, lv_io
         v = _true_coefficients(basis, LV_PARAMS)
@@ -429,13 +503,19 @@ def test_sampler_matches_evaluate_reference(case, viral_model, viral_io, lv_mode
     elif case == "decay":
         model, basis, v = decay_model, decay_io, [0.4]
         free, ranges, n = [], {"a1": (-1.0, 1.0)}, 1
+    elif case in NEWTON_LIMITS:
+        terms, a1, a2, n = NEWTON_LIMITS[case]
+        cons = VarietyConstraints(v=[0.0], equations=[pp(2, terms)],
+                                  param_names=("a1", "a2"))
+        free, ranges = ["a2"], {"a1": a1, "a2": a2}
     else:
         model, basis = virus_full_model, derive_io_basis(virus_full_model)
         v = _true_coefficients(basis, VIRUS_FULL_PARAMS)
         free, n = ["a1", "a5"], 9
         ranges = dict(_spread({p: float(a) for p, a in VIRUS_FULL_PARAMS.items()}),
                       a5=(0.5, 0.99))
-    cons = variety_constraints(basis, v, assumptions=model.assume_nonzero)
+    if case not in NEWTON_LIMITS:
+        cons = variety_constraints(basis, v, assumptions=model.assume_nonzero)
     got = sample_variety(cons, free, ranges, n)
     points, skipped = _ref_sample_variety(cons, free, ranges, n)
     assert repr(got.points) == repr(points)
@@ -443,6 +523,27 @@ def test_sampler_matches_evaluate_reference(case, viral_model, viral_io, lv_mode
     # two free parameters over a curve: Newton cannot meet both equations
     assert bool(points) == (case != "viral-a4-a5")
     assert skipped or case not in ("viral-a4-a5", "viral-skips")
+    if case.startswith("viral-mixed"):
+        # one call mixes the outcomes of a point: kept, out of range, against
+        # an assumption, and out of halvings or of steps
+        branches = _ref_branches(cons, free, ranges, n, monkeypatch)
+        failure = case.rpartition("-")[2]
+        assert {"range", "assumption", failure} <= {b for b, _ in branches}
+        if failure == "iterations":
+            # kept points converge after different numbers of steps
+            assert len({len(t) for b, t in branches if b == "converged"}) >= 2
+    elif case in NEWTON_LIMITS:
+        branches = _ref_branches(cons, free, ranges, n, monkeypatch)
+        kept = [t for b, t in branches if b == "converged"]
+        assert points and skipped
+        if case == "newton-60-steps":
+            assert any(len(t) == 60 for t in kept)
+            assert "iterations" in {b for b, _ in branches}
+        elif case == "newton-29-halvings":
+            assert any(max(t) == 30 for t in kept)
+            assert "halvings" in {b for b, _ in branches}
+        else:
+            assert any(sum(t) - len(t) >= 30 and max(t) < 30 for t in kept)
 
 
 def test_sample_free_param_validation(viral_io):
