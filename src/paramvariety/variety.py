@@ -42,6 +42,9 @@ COND_THRESHOLD = 1e8
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 60
 _NEWTON_MIN_DAMP = 0.5 ** 29    # the damping of a step's 30th and last trial
+# grid points that run in lockstep at a time: the batched evaluations hold
+# terms x points arrays, so a block bounds their memory for any grid size
+_GRID_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -296,15 +299,15 @@ def sample_variety(constraints, free_params, ranges, n):
     Grids the free parameters over their ranges and solves the remaining
     constraint parameters by damped (Gauss-)Newton from the midpoint of each
     solved parameter's range. The grid moves in lockstep rounds
-    (``_gauss_newton``): one batched evaluation of the residuals of every
-    point in a line search and one of the Jacobian of every point that
-    needs a new step, then each point's own least-squares step and
-    accept-or-halve test, so every point takes the steps it would take
-    alone. Points that leave their declared range, violate a nonzero
-    assumption, or fail to converge are skipped, with the count reported.
-    n, the number of grid points asked for, must be an integer of at least
-    1, every range (lo, hi) must have lo <= hi and no free parameter may be
-    given twice; anything else raises UsageError.
+    (``_gauss_newton``, on blocks of _GRID_BLOCK points): one batched
+    evaluation of the residuals of every point in a line search and one of
+    the Jacobian of every point that needs a new step, then each point's
+    own least-squares step and accept-or-halve test, so every point takes
+    the steps it would take alone. Points that leave their declared range,
+    violate a nonzero assumption, or fail to converge are skipped, with the
+    count reported. n, the number of grid points asked for, must be an
+    integer of at least 1, every range (lo, hi) must have lo <= hi and no
+    free parameter may be given twice; anything else raises UsageError.
     """
     import numpy as np
 
@@ -343,6 +346,7 @@ def sample_variety(constraints, free_params, ranges, n):
     assumptions = batch_evaluator([term_list(a.packed, range(a.n), range(a.n))
                                    for a in constraints.assumptions])
     jac_scale = np.repeat(row_scale, len(solved))
+    jac_shape = (len(nontrivial), len(solved))
 
     if free_params:
         per_axis = max(1, round(n ** (1.0 / len(free_params))))
@@ -362,17 +366,18 @@ def sample_variety(constraints, free_params, ranges, n):
     full = np.ones((len(grid_points), len(names)))
     full[:, [name_idx[p] for p in free_params]] = grid_points
     full[:, solved_idx] = [0.5 * (ranges[p][0] + ranges[p][1]) for p in solved]
-    converged = _gauss_newton(
-        full, solved_idx,
-        lambda x: eqs(x) / row_scale,
-        lambda x: (partials(x) / jac_scale).reshape(len(x), len(nontrivial), len(solved)))
-    kept = [i for i, ok in enumerate(converged) if ok]
     points = []
-    for row, values in zip(full[kept].tolist(), assumptions(full[kept]).tolist()):
-        in_range = all(ranges[p][0] - 1e-9 <= row[name_idx[p]] <= ranges[p][1] + 1e-9
-                       for p in cparams)
-        if in_range and all(abs(a) > 1e-12 for a in values):
-            points.append({p: row[name_idx[p]] for p in cparams})
+    for start in range(0, len(full), _GRID_BLOCK):
+        block = full[start:start + _GRID_BLOCK]
+        converged = _gauss_newton(
+            block, solved_idx, lambda x: eqs(x) / row_scale,
+            lambda x: (partials(x) / jac_scale).reshape(len(x), *jac_shape))
+        kept = block[np.array(converged, dtype=bool)]
+        for row, values in zip(kept.tolist(), assumptions(kept).tolist()):
+            in_range = all(ranges[p][0] - 1e-9 <= row[name_idx[p]] <= ranges[p][1] + 1e-9
+                           for p in cparams)
+            if in_range and all(abs(a) > 1e-12 for a in values):
+                points.append({p: row[name_idx[p]] for p in cparams})
     return SampleResult(points=points, skipped=len(full) - len(points),
                         free_params=free_params)
 

@@ -13,6 +13,7 @@ from paramvariety.errors import (
     JetOrderMismatch,
     UsageError,
 )
+from paramvariety import variety
 from paramvariety.ioeq import derive_io_basis
 from paramvariety.variety import (
     VarietyConstraints,
@@ -544,6 +545,18 @@ def test_sampler_matches_evaluate_reference(case, viral_model, viral_io, lv_mode
             assert "halvings" in {b for b, _ in branches}
         else:
             assert any(sum(t) - len(t) >= 30 and max(t) < 30 for t in kept)
+
+
+def test_sample_blocks_match_one_block(viral_io, viral_model, monkeypatch):
+    # a grid run in several lockstep blocks gives the points of one block
+    cons = variety_constraints(viral_io, [2.25, 3.75],
+                               assumptions=viral_model.assume_nonzero)
+    ranges = {"a4": (0.0, 4.0), "a5": (0.0, 1.0), "a7": (0.0, 4.0)}
+    whole = sample_variety(cons, ["a4"], ranges, 40)
+    monkeypatch.setattr(variety, "_GRID_BLOCK", 3)
+    blocks = sample_variety(cons, ["a4"], ranges, 40)
+    assert repr(blocks.points) == repr(whole.points)
+    assert blocks.skipped == whole.skipped > 0
 
 
 def test_sample_free_param_validation(viral_io):
