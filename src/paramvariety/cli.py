@@ -274,10 +274,7 @@ def cmd_variety(args):
     scale = max(1.0, max(abs(float(x)) for x in result.v))
     v_embed = [0.0 if abs(float(x)) <= 1e-10 * scale else float(f"{float(x):.10g}")
                for x in result.v]
-    constraints = variety_constraints(basis, v_embed,
-                                      assumptions=assumptions,
-                                      residual=result.residual,
-                                      cond=result.cond)
+    constraints = variety_constraints(basis, v_embed, assumptions=assumptions)
     report = run_extension_check(model, basis.gb)
 
     inputs = _inputs(model=args.model, data=args.data)

@@ -57,16 +57,11 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray    # (len(times), N)
     outputs: np.ndarray   # (len(times),)
-    params: dict
-    x0: np.ndarray
 
 
 @dataclass(frozen=True)
 class JetSample:
-    t: float
     y_jet: tuple
-    u_jet: tuple = ()
-    source: str = "symbolic_pushforward"
 
 
 @dataclass
@@ -290,8 +285,7 @@ def integrate_model(model, params, x0, grid):
     g = term_evaluator(compiled_terms(model.g, _state_index(model),
                                       _param_vector(model, params)))
     outputs = [g(x) for x in states.tolist()]
-    return Trajectory(times=grid, states=states, outputs=np.array(outputs),
-                      params=dict(params), x0=x0)
+    return Trajectory(times=grid, states=states, outputs=np.array(outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +363,14 @@ def _jet_evaluator(model, params, order):
     return evaluate
 
 
-def jet_at(model, params, state, t=0.0, u_jet=(), order=1):
+def jet_at(model, params, state, u_jet=(), order=1):
     """Exact output jet (y, y', ..., y^(order)) at one state point, as
     Fractions.
 
     Computed by the exact push-forward of ``_jet_evaluator``; no finite
     differences are involved.
     """
-    y_jet = _jet_evaluator(model, params, order)(state, u_jet)
-    return JetSample(t=float(t), y_jet=y_jet,
-                     u_jet=tuple(tuple(j) for j in u_jet),
-                     source="symbolic_pushforward")
+    return JetSample(y_jet=_jet_evaluator(model, params, order)(state, u_jet))
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +515,15 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
                    sources=[sources[i] for i in idx])
 
 
-def dataset_columns(order, input_names=(), input_order=None):
-    cols = ["t", "y"] + [f"y{k}" for k in range(1, order + 1)]
-    if input_order is None:
-        input_order = max(order - 1, 0)
-    for u in input_names:
-        cols += [f"{u}_{k}" for k in range(input_order + 1)]
-    return cols
-
-
 def write_dataset(path, dataset, header_comments=()):
     """Write a dataset CSV that read_dataset reads back. DataSet does not
     name its inputs, so input jets get the columns u1_0, u1_1, ... in input
     order; every input jet must have the order of the first row's first."""
     inputs = dataset.u_jets[0]
-    input_names = [f"u{m}" for m in range(1, len(inputs) + 1)]
-    input_order = len(inputs[0]) - 1 if inputs else None
-    cols = dataset_columns(dataset.order, input_names, input_order) + ["source"]
+    cols = ["t", "y"] + [f"y{k}" for k in range(1, dataset.order + 1)]
+    for m in range(1, len(inputs) + 1):
+        cols += [f"u{m}_{k}" for k in range(len(inputs[0]))]
+    cols.append("source")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")

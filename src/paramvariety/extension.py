@@ -122,19 +122,15 @@ def is_unit_under(p, assumptions):
     into declared-nonzero factors times a nonzero constant."""
     if p.is_zero:
         return False
+    # one pass suffices: a factor that does not divide p divides no quotient
+    # of p either, so no later division can make an earlier factor divide
     p = p.primitive()
-    progress = True
-    while progress and not p.is_constant:
-        progress = False
-        for a in assumptions:
-            if a.is_constant:
-                continue
-            q = exact_divide(p, a)
-            if q is not None and not q.is_zero:
-                p = q.primitive()
-                progress = True
-                break
-    return p.is_constant and not p.is_zero
+    for a in assumptions:
+        if a.is_constant:
+            continue
+        while (q := exact_divide(p, a)) is not None:
+            p = q.primitive()
+    return p.is_constant
 
 
 def check_extension(sets, assumptions=(), param_names=()):
@@ -148,16 +144,11 @@ def check_extension(sets, assumptions=(), param_names=()):
     """
     entries = []
     for j, (z, leading) in enumerate(sets, start=1):
-        verdict = VERDICT_UNKNOWN
-        consts = [p for p in leading
-                  if isinstance(p, ParamPoly) and p.is_constant and not p.is_zero]
-        if consts:
-            verdict = VERDICT_CONST
-        else:
-            for p in leading:
-                if isinstance(p, ParamPoly) and is_unit_under(p, assumptions):
-                    verdict = VERDICT_ASSUMED
-                    break
+        units = [p for p in leading
+                 if isinstance(p, ParamPoly) and is_unit_under(p, assumptions)]
+        verdict = (VERDICT_UNKNOWN if not units
+                   else VERDICT_CONST if any(p.is_constant for p in units)
+                   else VERDICT_ASSUMED)
         entries.append(ExtensionEntry(index=j, var=z, leading=leading,
                                       verdict=verdict))
     overall = CERTIFIED if all(e.verdict != VERDICT_UNKNOWN for e in entries) \

@@ -57,12 +57,6 @@ def s_polynomial(f, g):
     return left - right
 
 
-def reduce_poly(p, basis):
-    """Full normal form of p against a list of nonzero polynomials: every
-    monomial of the result is divisible by no basis leading monomial."""
-    return poly_divide(p, basis)[1]
-
-
 def buchberger(gens, limits=None, seed=()):
     """Groebner basis of the ideal generated by a list of polynomials and,
     when given, a seed, over the ring of the first generator.
@@ -133,7 +127,7 @@ def buchberger(gens, limits=None, seed=()):
                 break
         if skip:
             continue
-        r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
+        r = poly_divide(s_polynomial(basis[i], basis[j]), basis)[1]
         if r.is_zero:
             continue
         basis.append(r.monic())
@@ -168,7 +162,7 @@ def reduce_basis(gb):
     # O'Shea, Ideals, Varieties, and Algorithms, 2.7). Leading monomials,
     # and with them the ascending order, do not change.
     for i, g in enumerate(minimal):
-        minimal[i] = reduce_poly(g, minimal[:i]).monic()
+        minimal[i] = poly_divide(g, minimal[:i])[1].monic()
     return tuple(minimal)
 
 

@@ -102,7 +102,7 @@ def derive_io_basis(model):
         "the termination bound and signals a bug")
 
 
-def normalize_io(p, param_names=None, input_names=()):
+def normalize_io(p, param_names, input_names=()):
     """Normalize a state-free polynomial into an IOEquationBasis.
 
     p is scaled monic in its lex leading monomial; terms whose coefficients
@@ -113,8 +113,6 @@ def normalize_io(p, param_names=None, input_names=()):
     """
     if p.is_zero:
         raise ValueError("cannot normalize the zero polynomial")
-    if param_names is None:
-        param_names = tuple(f"a{i + 1}" for i in range(p.n))
     p = p.monic()
     monos = []
     coeffs = []

@@ -57,20 +57,11 @@ class SolveResult:
 @dataclass
 class VarietyConstraints:
     """The set {a | c_l(a) = v_l} as denominator-cleared polynomial
-    equations, together with the numeric vector and solve diagnostics."""
+    equations, with the nonzero assumptions the sampler checks."""
 
-    v: list
     equations: list           # ParamPoly, = 0 each
     param_names: tuple
     assumptions: tuple = ()
-    residual: float = 0.0
-    cond: float = 0.0
-
-    def render(self):
-        lines = []
-        for eq in self.equations:
-            lines.append(f"{eq.render(self.param_names)} = 0")
-        return "\n".join(lines)
 
     def constraint_params(self):
         """Parameters that actually appear in the constraint equations, in
@@ -257,7 +248,7 @@ def rationalize(x):
     return Fraction(Decimal(str(x)))
 
 
-def variety_constraints(basis, v, assumptions=(), residual=0.0, cond=0.0):
+def variety_constraints(basis, v, assumptions=()):
     """Denominator-cleared polynomial equations c_l(a) = v_l.
 
     Each equation is q*num_l - p*den_l with v_l = p/q rationalized exactly,
@@ -276,14 +267,8 @@ def variety_constraints(basis, v, assumptions=(), residual=0.0, cond=0.0):
         if not eq.is_zero:
             eq = eq.primitive()
         equations.append(eq)
-    return VarietyConstraints(
-        v=list(v),
-        equations=equations,
-        param_names=basis.param_names,
-        assumptions=tuple(assumptions),
-        residual=residual,
-        cond=cond,
-    )
+    return VarietyConstraints(equations=equations, param_names=basis.param_names,
+                              assumptions=tuple(assumptions))
 
 
 @dataclass

@@ -26,7 +26,7 @@ from paramvariety.extension import (
     check_extension,
     extension_sets,
 )
-from paramvariety.groebner import buchberger, reduce_basis, reduce_poly, s_polynomial
+from paramvariety.groebner import buchberger, reduce_basis, s_polynomial
 from paramvariety.groebner import elimination_subset
 from paramvariety.model import prolong
 from paramvariety.variety import (
@@ -333,7 +333,7 @@ def test_criterion_7_engine_properties():
                 _, rem = poly_divide(g, basis)
                 assert rem.is_zero
             for f, g in itertools.combinations(basis, 2):
-                assert reduce_poly(s_polynomial(f, g), basis).is_zero
+                assert poly_divide(s_polynomial(f, g), basis)[1].is_zero
             rgb = reduce_basis(basis)
             shuffled = list(gens)
             rng.shuffle(shuffled)

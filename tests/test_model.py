@@ -323,10 +323,9 @@ def test_generators_vanish_on_trajectory(viral_model):
     traj = integrate_model(viral_model, params, x0, grid)
     psys = prolong(viral_model, 2)
     pvec = [params[p] for p in viral_model.params]
-    for k, t in enumerate(grid):
-        state = traj.states[k]
+    for state in traj.states:
         jets = state_jet(viral_model, params, state, order=2)
-        ys = jet_at(viral_model, params, state, t=t, order=2)
+        ys = jet_at(viral_model, params, state, order=2)
         values = dict(jets)
         for j, yv in enumerate(ys.y_jet):
             values[DiffVar("y", j)] = yv
