@@ -12,8 +12,10 @@ The derivation runs one Buchberger call per prolongation order, each
 extending the last order's basis, and the caps apply to each call: the pair
 cap to the pairs that call pops, the basis cap to the whole basis it holds.
 
-Exit codes: 0 success, 2 usage/parse, 3 numeric failure, 4 algebra resource
-cap, 5 internal invariant violation.
+Exit codes: 0 success, 2 usage/parse (an unreadable path too: a missing or
+undecodable input file, a directory given as a file, an --out that is a
+file), 3 numeric failure, 4 algebra resource cap, 5 internal invariant
+violation.
 """
 
 import argparse
@@ -151,7 +153,7 @@ def _collect_x0(args, model, params):
 
 
 def _t0(args, model):
-    return args.t0 if args.t0 is not None else model.horizon[0]
+    return _number(args.t0, "--t0") if args.t0 is not None else model.horizon[0]
 
 
 def _times_from_args(args, model, default_rows, rng):
@@ -257,6 +259,7 @@ def cmd_variety(args):
     if args.samples < 0:
         raise UsageError(f"--samples must not be negative, got {args.samples}")
     model = load_model(args.model)
+    sampling = _sampling_args(args, model) if args.samples else None
     basis = derive_io_basis(model)
     if args.data:
         dataset = read_dataset(args.data)
@@ -328,8 +331,8 @@ def cmd_variety(args):
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if args.samples:
-        _emit_samples(args, model, constraints, meta)
+    if sampling:
+        _emit_samples(args, sampling, constraints, meta)
     print(f"wrote {path} ({report.overall})")
     return 0
 
@@ -345,17 +348,23 @@ def _parse_ranges(text, params):
     return ranges
 
 
-def _emit_samples(args, model, constraints, meta):
+def _sampling_args(args, model):
+    """(ranges, free parameters, --axes pairs) of a sampling run, parsed
+    before the derivation; whether the pairs name constraint parameters is
+    checked once the constraints are known."""
     if not args.ranges:
         raise UsageError("sampling needs --ranges name=lo:hi,...")
     ranges = _parse_ranges(args.ranges, model.params)
     free = [p.strip() for p in (args.free or "").split(",") if p.strip()]
+    pairs = [p.strip() for p in (args.axes or "").split(",") if p.strip()]
+    return ranges, free, pairs
+
+
+def _emit_samples(args, sampling, constraints, meta):
+    ranges, free, pairs = sampling
     cparams = constraints.constraint_params()
     axes = []
-    for pair in (args.axes or "").split(","):
-        pair = pair.strip()
-        if not pair:
-            continue
+    for pair in pairs:
         px, _, py = pair.partition(":")
         if px not in cparams or py not in cparams:
             raise UsageError(f"--axes pair {pair!r} must name constraint "
@@ -395,6 +404,7 @@ def cmd_sample(args):
     if args.samples < 1:
         raise UsageError(f"sample needs --samples of at least 1, got {args.samples}")
     model = load_model(args.model)
+    sampling = _sampling_args(args, model)
     basis = derive_io_basis(model)
     if args.data:
         dataset = read_dataset(args.data)
@@ -411,7 +421,7 @@ def cmd_sample(args):
     constraints = variety_constraints(basis, v,
                                       assumptions=model.assume_nonzero)
     meta = _metadata(args, _inputs(model=args.model, data=args.data))
-    _emit_samples(args, model, constraints, meta)
+    _emit_samples(args, sampling, constraints, meta)
     return 0
 
 
@@ -494,8 +504,7 @@ def build_parser():
             p.add_argument("--times", help="comma-separated measurement times")
             p.add_argument("--n-times", type=int,
                            help="draw this many random times instead")
-            p.add_argument("--t0", type=float,
-                           help="initial time (default: horizon start)")
+            p.add_argument("--t0", help="initial time (default: horizon start)")
             p.add_argument("--method", default="symbolic",
                            choices=["symbolic", "exact-viral",
                                     "finite-difference"])
@@ -539,15 +548,10 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except ParamVarietyError as exc:
+    except (ParamVarietyError, OSError, UnicodeDecodeError,
+            NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -543,11 +543,11 @@ def write_dataset(path, dataset, header_comments=()):
 
 
 def read_dataset(path):
-    """Read a dataset CSV; the y columns may come in any order. Columns
+    """Read a dataset CSV; the columns may come in any order. Columns
     other than t, y, y1, ..., yL (with no gap), input jets <name>_<k> and
-    source, a row whose field count differs from the header's, a value that
-    is not a finite number and times that do not increase raise
-    DatasetFormatError, naming the file and the line."""
+    source, a repeated column, a row whose field count differs from the
+    header's, a value that is not a finite number and times that do not
+    increase raise DatasetFormatError, naming the file and the line."""
     unit = "days"
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -571,6 +571,10 @@ def read_dataset(path):
             rows.append((lineno, dict(zip(header, fields))))
     if header is None or not rows:
         raise InsufficientData(f"no data rows in {path}")
+    repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)
+    if repeated is not None:
+        raise DatasetFormatError(
+            f"{path}, line {header_line}: column {repeated!r} is repeated")
 
     def number(lineno, rec, col):
         try:
@@ -586,7 +590,6 @@ def read_dataset(path):
     ycols = sorted((c for c in header
                     if c == "y" or (c.startswith("y") and c[1:].isdecimal())),
                    key=lambda c: int(c[1:] or 0))
-    has_source = header[-1] == "source"
     ucols = [c for c in header if c not in ycols and c not in ("t", "source")]
     if "t" not in header or ycols != ["y"] + [f"y{k}" for k in range(1, len(ycols))] \
             or not all(c.rpartition("_")[2].isdecimal() for c in ucols):
@@ -608,7 +611,7 @@ def read_dataset(path):
                         if c.rsplit("_", 1)[0] == u)
             jets.append(tuple(number(lineno, rec, f"{u}_{k}") for k in ks))
         u_jets.append(jets)
-        sources.append(rec.get("source", "measured") if has_source else "measured")
+        sources.append(rec.get("source", "measured"))
     try:
         return DataSet(times=times, y_jets=y_jets, u_jets=u_jets, unit=unit,
                        sources=sources)

@@ -24,6 +24,7 @@ rationals). '/' is accepted only when the divisor is free of state/input
 variables; division by a state variable is not polynomial and is rejected.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -325,7 +326,9 @@ def parse_model(text):
     try:
         t0, t1 = float(pieces[0]), float(pieces[1])
     except ValueError:
-        raise ModelSyntaxError("horizon values must be numbers", lineno) from None
+        t0 = t1 = math.nan
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ModelSyntaxError("horizon values must be finite numbers", lineno)
     if not t0 < t1:
         raise ModelSyntaxError("horizon must satisfy T0 < T1", lineno)
 

@@ -252,6 +252,23 @@ def test_sample_command_with_v(tmp_path):
     assert (tmp_path / "variety_a4_a5.svg").exists()
 
 
+def test_sample_data_matches_variety_data(tmp_path):
+    # sample --data solves the dataset as variety --data does, so both
+    # sample the same points
+    assert _run("pseudo", "--model", VIRAL, *GEN_2D, "--out", str(tmp_path)) == 0
+    data = str(tmp_path / "dataset.csv")
+    rows = {}
+    for command in ("sample", "variety"):
+        out = tmp_path / command
+        assert _run(command, "--model", VIRAL, "--data", data, "--samples", "8",
+                    "--free", "a4", *VIRAL_RANGES, "--out", str(out)) == 0
+        rows[command] = [l for l in (out / "samples.csv").read_text().splitlines()
+                         if not l.startswith("#")]
+    assert rows["sample"][0] == "a4,a5,a7"
+    assert len(rows["sample"]) == 9
+    assert rows["sample"] == rows["variety"]
+
+
 def test_sample_needs_source(tmp_path):
     code = _run("sample", "--model", VIRAL, "--samples", "4",
                 "--free", "a4", "--ranges", "a4=0:1",
@@ -295,6 +312,8 @@ VIRAL_GEN = ["--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
              "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"]
 VIRAL_SAMPLE = ["--v", "0.8512,5.76", "--samples", "4", "--free", "a4"]
 VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
+DECAY_GEN = ["--params", "a1=-0.4", "--x0", "x1=2", "--times", "0.5,1",
+             "--model", DECAY]
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,6 +365,8 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
     ["pseudo", "--params", "a1=0,a2=1", "--x0", "x1=1", "--model", VANISHING],
     ["pseudo", "--params", "a1=0,a2=1", "--x0", "x1=1", "--method",
      "finite-difference", "--model", VANISHING],
+    ["pseudo", *DECAY_GEN, "--t0", "nan"],
+    ["variety", *DECAY_GEN, "--t0", "nan"],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
@@ -355,11 +376,36 @@ VIRAL_RANGES = ["--ranges", "a4=0:5.76,a5=0:1,a7=0:8"]
         "reversed-range", "repeated-free", "unknown-x0-state", "repeated-param",
         "repeated-x0", "repeated-range", "state-in-x0", "state-in-assumption",
         "bad-x0-expression", "model-denominator-vanishes",
-        "pseudo-model-denominator-vanishes", "difference-model-denominator-vanishes"])
+        "pseudo-model-denominator-vanishes", "difference-model-denominator-vanishes",
+        "pseudo-nan-t0", "variety-nan-t0"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["model-is-directory", "undecodable-model",
+                                  "undecodable-data", "out-is-file"])
+def test_unreadable_path_exits_usage(tmp_path, capsys, case):
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"t,y,y1\n\xff\xfe\n")
+    out = str(tmp_path / "out")
+    argv = {"model-is-directory": ["ioeq", "--model", str(MODELS), "--out", out],
+            "undecodable-model": ["ioeq", "--model", str(undecodable), "--out", out],
+            "undecodable-data": ["variety", "--model", DECAY,
+                                 "--data", str(undecodable), "--out", out],
+            "out-is-file": ["ioeq", "--model", DECAY,
+                            "--out", str(undecodable)]}[case]
+    assert _run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_variety_sampling_usage_checked_before_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("variety", "--model", VIRAL, *GEN_2D, "--samples", "5",
+                "--free", "a4", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: sampling needs --ranges name=lo:hi,...\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("extra", [

@@ -23,6 +23,7 @@ from paramvariety.datalab import (
 )
 from paramvariety.errors import (
     BlowUp,
+    DatasetFormatError,
     DegenerateEigenvalues,
     InsufficientData,
     JetOrderMismatch,
@@ -628,6 +629,24 @@ def test_read_dataset_orders_y_columns(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("t,y2,y,y1\n1.0,30,10,20\n")
     assert read_dataset(path).y_jets == [(10.0, 20.0, 30.0)]
+
+
+def test_read_dataset_source_at_any_position(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("source,t,y,y1\nlab,1.0,10,20\nfield,2.0,30,40\n")
+    ds = read_dataset(path)
+    assert ds.sources == ["lab", "field"]
+    assert ds.times == [1.0, 2.0] and ds.y_jets == [(10.0, 20.0), (30.0, 40.0)]
+
+
+@pytest.mark.parametrize("header", ["t,y,y1,t", "t,y,y1,y1", "t,y,source,source"])
+def test_read_dataset_rejects_repeated_column(tmp_path, header):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"# unit: days\n{header}\n1.0,2.0,3.0,4.0\n")
+    repeated = header.rsplit(",", 1)[1]
+    with pytest.raises(DatasetFormatError,
+                       match=f"ds.csv, line 2: column '{repeated}' is repeated"):
+        read_dataset(path)
 
 
 def test_exact_viral_template_check(viral_model, lv_model):

@@ -171,6 +171,14 @@ y = x1
         parse_model(src)
 
 
+@pytest.mark.parametrize("horizon", ["0 inf", "-inf 0", "nan 1", "0 x"])
+def test_horizon_not_a_finite_number(horizon):
+    src = f"states: x1\noutput: y\nparams: a1\nhorizon: {horizon}\ndx1/dt = a1*x1\ny = x1\n"
+    with pytest.raises(ModelSyntaxError,
+                       match="line 4: horizon values must be finite numbers"):
+        parse_model(src)
+
+
 # ---------------------------------------------------------------------------
 # total derivative
 # ---------------------------------------------------------------------------
