@@ -253,8 +253,8 @@ def test_sample_command_with_v(tmp_path):
 
 
 def test_sample_data_matches_variety_data(tmp_path):
-    # sample --data solves the dataset as variety --data does, so both
-    # sample the same points
+    # both commands solve the same dataset, so they sample the same points
+    # at the 10 digits samples.csv prints
     assert _run("pseudo", "--model", VIRAL, *GEN_2D, "--out", str(tmp_path)) == 0
     data = str(tmp_path / "dataset.csv")
     rows = {}
