@@ -12,9 +12,9 @@ rationalized exactly (0.8512 -> 8512/10000).
 The sampler compiles its equations, their Jacobian and the assumptions
 once per call, each into one ``algebra.batch_evaluator``, and runs damped
 Gauss-Newton on the whole grid in lockstep rounds: one batched evaluation of
-the residuals and one of the Jacobian per round, then a least-squares step
-and a line-search test per point, so every point does the float operations
-it would do alone.
+the residuals, one of the Jacobian and one stacked least-squares call per
+round, then a line-search test per point, so every point does the float
+operations it would do alone.
 
 numpy is imported inside the solve and sampling functions on their first
 call, not with this module, so importing the package does not load it.
@@ -285,14 +285,15 @@ def sample_variety(constraints, free_params, ranges, n):
     constraint parameters by damped (Gauss-)Newton from the midpoint of each
     solved parameter's range. The grid moves in lockstep rounds
     (``_gauss_newton``, on blocks of _GRID_BLOCK points): one batched
-    evaluation of the residuals of every point in a line search and one of
-    the Jacobian of every point that needs a new step, then each point's
-    own least-squares step and accept-or-halve test, so every point takes
-    the steps it would take alone. Points that leave their declared range,
-    violate a nonzero assumption, or fail to converge are skipped, with the
-    count reported. n, the number of grid points asked for, must be an
-    integer of at least 1, every range (lo, hi) must have lo <= hi and no
-    free parameter may be given twice; anything else raises UsageError.
+    evaluation of the residuals of every point in a line search, one of the
+    Jacobian of every point that needs a new step and one stacked
+    least-squares call for all those steps, then each point's own
+    accept-or-halve test, so every point takes the steps it would take
+    alone. Points that leave their declared range, violate a nonzero
+    assumption, or fail to converge are skipped, with the count reported.
+    n, the number of grid points asked for, must be an integer of at least
+    1, every range (lo, hi) must have finite lo <= hi and no free parameter
+    may be given twice; anything else raises UsageError.
     """
     import numpy as np
 
@@ -312,9 +313,11 @@ def sample_variety(constraints, free_params, ranges, n):
     for p in cparams:
         if p not in ranges:
             raise UsageError(f"no range given for constraint parameter {p!r}")
-        if ranges[p][0] > ranges[p][1]:
-            raise UsageError(f"range of {p!r} is reversed: {ranges[p][0]} > "
-                             f"{ranges[p][1]}")
+        lo, hi = ranges[p]
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError(f"range of {p!r} is not finite: {lo}:{hi}")
+        if lo > hi:
+            raise UsageError(f"range of {p!r} is reversed: {lo} > {hi}")
 
     names = constraints.param_names
     name_idx = {p: i for i, p in enumerate(names)}
@@ -374,12 +377,14 @@ def _gauss_newton(full, solved_idx, residuals, jacobian):
     residuals and jacobian map an array of rows to the residual vector and
     the Jacobian (on the solved columns) of each. Every round evaluates the
     Jacobian of each row that starts a step and the residuals of each row's
-    trial point in one call each; each row then takes its own
-    np.linalg.lstsq step and its own test, so it runs the steps that it
-    would run alone: up to _NEWTON_MAX_ITER accepted steps, each halved
-    down to _NEWTON_MIN_DAMP until the residual norm drops. The norm is sqrt(r . r) on
-    the row's contiguous residual vector, the computation of np.linalg.norm
-    on a 1-D float array."""
+    trial point in one call each, and solves for the steps of all rows that
+    start one in one stacked least-squares call (``_lstsq_steps``, each step
+    the bits of np.linalg.lstsq; a row without a step stops); each row then
+    takes its own test, so it runs the steps that it would run alone: up to
+    _NEWTON_MAX_ITER accepted steps, each halved down to _NEWTON_MIN_DAMP
+    until the residual norm drops. The norm is sqrt(r . r) on the row's
+    contiguous residual vector, the computation of np.linalg.norm on a 1-D
+    float array."""
     import numpy as np
 
     res = residuals(full)
@@ -400,13 +405,12 @@ def _gauss_newton(full, solved_idx, residuals, jacobian):
                 elif taken[i] < _NEWTON_MAX_ITER:
                     fresh.append(i)
             if fresh:
-                for i, jac, r in zip(fresh, jacobian(full[fresh]), -res[fresh]):
-                    try:
-                        step[i] = np.linalg.lstsq(jac, r, rcond=None)[0]
-                    except np.linalg.LinAlgError:
-                        continue
+                ok, steps = _lstsq_steps(jacobian(full[fresh]), res[fresh])
+                stepped = [i for i, good in zip(fresh, ok.tolist()) if good]
+                step[stepped] = steps
+                for i in stepped:
                     damp[i] = 1.0
-                    searching.append(i)
+                searching += stepped
             if not searching:
                 return done
             trial = full[searching]
@@ -427,3 +431,28 @@ def _gauss_newton(full, solved_idx, residuals, jacobian):
             full[starting] = trial[accepted]
             res[starting] = t_res[accepted]
             searching = still
+
+
+def _lstsq_steps(jac, res):
+    """The Gauss-Newton step of each point of a stack, x[k] minimizing
+    |jac[k] x + res[k]|, from one call of the least-squares gufunc that
+    np.linalg.lstsq(jac[k], -res[k], rcond=None) calls on one matrix (LAPACK
+    gelsd, rcond = eps * max(m, n)), so each step has its bits.
+
+    Returns (ok, x): x holds the steps of the points with ok[k], in stack
+    order. ok[k] is False where np.linalg.lstsq fails: on a Jacobian with a
+    non-finite entry, kept from LAPACK (gelsd prints DLASCL errors on one,
+    and on some 3x3 ones it never returns), and where the SVD does not
+    converge (rank -1). A non-finite residual still gets its step, as it
+    does from np.linalg.lstsq."""
+    import numpy as np
+    from numpy.linalg import _umath_linalg
+
+    ok = np.isfinite(jac).all(axis=(1, 2))
+    rcond = np.finfo(float).eps * max(jac.shape[1:])
+    with np.errstate(all="ignore"):
+        x, _, rank, _ = _umath_linalg.lstsq(jac[ok], -res[ok][:, :, None], rcond,
+                                            signature="ddd->ddid")
+    solved = rank >= 0
+    ok[ok] = solved
+    return ok, x[solved, :, 0]

@@ -1,6 +1,11 @@
 import gc
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +574,11 @@ def test_sample_free_param_validation(viral_io):
         sample_variety(cons, ["a4"], {"a4": (0, 1), "a5": (1, 0), "a7": (0, 8)}, 4)
     with pytest.raises(UsageError, match="'a4' is given more than once"):
         sample_variety(cons, ["a4", "a4"], {"a4": (0, 5.76), "a5": (0, 1), "a7": (0, 8)}, 4)
+    # a nan bound passed the lo > hi test, and every point was skipped
+    for p in ("a4", "a5"):
+        for bound in ((math.nan, 5.76), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(UsageError, match=f"range of '{p}' is not finite"):
+                sample_variety(cons, ["a4"], dict(VIRAL_RANGES, **{p: bound}), 4)
 
 
 
@@ -581,6 +591,84 @@ def test_sample_count_validation(viral_io, n):
     for free in (["a4"], ["a4", "a5"]):
         with pytest.raises(UsageError, match="sample count"):
             sample_variety(cons, free, ranges, n)
+
+
+def _stack(rng, k, m, n, scale=1.0):
+    return rng.normal(size=(k, m, n)) * scale, rng.normal(size=(k, m))
+
+
+STEP_STACKS = {
+    "1x1": lambda rng: _stack(rng, 6, 1, 1),
+    "square-2x2": lambda rng: _stack(rng, 6, 2, 2),
+    "tall-3x2": lambda rng: _stack(rng, 6, 3, 2),
+    "wide-1x3": lambda rng: _stack(rng, 6, 1, 3),
+    # the second column twice the first, at every scale of the entries
+    "rank-deficient": lambda rng: (
+        np.array([[[1.0, 2.0], [3.0, 6.0]], [[1e-9, 2e-9], [-4e-9, -8e-9]],
+                  [[1e12, 2e12], [0.0, 0.0]]]), rng.normal(size=(3, 2))),
+    "all-zero": lambda rng: (np.zeros((3, 2, 2)), rng.normal(size=(3, 2))),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_STACKS))
+def test_stacked_steps_match_lstsq(case):
+    # the sampler's one least-squares call per round gives every point the
+    # bits of its own np.linalg.lstsq step
+    jac, res = STEP_STACKS[case](np.random.default_rng(7))
+    ok, steps = variety._lstsq_steps(jac, res)
+    assert ok.tolist() == [True] * len(jac)
+    assert steps.shape == (len(jac), jac.shape[2])
+    for j, r, x in zip(jac, res, steps):
+        assert np.array_equal(x, np.linalg.lstsq(j, -r, rcond=None)[0])
+
+
+def test_stacked_steps_skip_non_finite_jacobians():
+    # a Jacobian with a nan or an infinite entry makes np.linalg.lstsq raise;
+    # its point gets no step and its neighbours are solved as alone. A
+    # non-finite residual is solved, to the nan steps np.linalg.lstsq gives.
+    jac, res = _stack(np.random.default_rng(8), 6, 2, 2)
+    jac[1, 0, 1] = math.nan
+    jac[3, 1, 0] = -math.inf
+    res[4, 0] = math.inf
+    ok, steps = variety._lstsq_steps(jac, res)
+    assert ok.tolist() == [True, False, True, False, True, True]
+    for k in (1, 3):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(jac[k], -res[k], rcond=None)
+    for k, x in zip([0, 2, 4, 5], steps):
+        assert np.array_equal(x, np.linalg.lstsq(jac[k], -res[k], rcond=None)[0],
+                              equal_nan=True)
+    assert np.isnan(steps[2]).all()
+
+
+_INFINITE_JACOBIAN_PROBE = """
+from paramvariety.algebra import ParamPoly
+from paramvariety.variety import VarietyConstraints, sample_variety
+# a1 a4 a5 + a2 + a3 = 1, a1 + a2 + a3 = 2, a1 + 2 a2 + a3 = 3 over free
+# a4, a5 near 1.5e200: the first row of the Jacobian in a1, a2, a3 is
+# (inf, 1, 1)
+eqs = [ParamPoly(5, {(1, 0, 0, 1, 1): 1, (0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0): 1,
+                     (0, 0, 0, 0, 0): -1}),
+       ParamPoly(5, {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0): 1,
+                     (0, 0, 0, 0, 0): -2}),
+       ParamPoly(5, {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0): 1,
+                     (0, 0, 0, 0, 0): -3})]
+cons = VarietyConstraints(equations=eqs, param_names=("a1", "a2", "a3", "a4", "a5"))
+out = sample_variety(cons, ["a4", "a5"], {"a1": (0, 1), "a2": (0, 1), "a3": (0, 1),
+                                          "a4": (1e200, 2e200), "a5": (1e200, 2e200)}, 4)
+print(len(out.points), out.skipped)
+"""
+
+
+def test_sample_infinite_jacobian_skips_quietly():
+    # LAPACK never returned on this Jacobian when the sampler passed it on,
+    # and prints DLASCL errors to stdout on other non-finite ones
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _INFINITE_JACOBIAN_PROBE],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("0 4\n", "")
 
 
 # ---------------------------------------------------------------------------
