@@ -548,8 +548,7 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (ParamVarietyError, OSError, UnicodeDecodeError,
-            NotImplementedError) as exc:
+    except (ParamVarietyError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_USAGE)
 

@@ -547,28 +547,33 @@ def read_dataset(path):
     other than t, y, y1, ..., yL (with no gap), input jets <name>_<k> and
     source, a repeated column, a row whose field count differs from the
     header's, a value that is not a finite number and times that do not
-    increase raise DatasetFormatError, naming the file and the line."""
+    increase raise DatasetFormatError, naming the file and the line; so
+    does a file that is not UTF-8, naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
     unit = "days"
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line[1:].strip().startswith("unit:"):
-                    unit = line.split("unit:", 1)[1].strip()
-                continue
-            fields = [c.strip() for c in line.split(",")]
-            if header is None:
-                header, header_line = fields, lineno
-                continue
-            if len(fields) != len(header):
-                raise DatasetFormatError(
-                    f"{path}, line {lineno}: {len(fields)} fields, the header "
-                    f"has {len(header)}")
-            rows.append((lineno, dict(zip(header, fields))))
+    header = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line[1:].strip().startswith("unit:"):
+                unit = line.split("unit:", 1)[1].strip()
+            continue
+        fields = [c.strip() for c in line.split(",")]
+        if header is None:
+            header, header_line = fields, lineno
+            continue
+        if len(fields) != len(header):
+            raise DatasetFormatError(
+                f"{path}, line {lineno}: {len(fields)} fields, the header "
+                f"has {len(header)}")
+        rows.append((lineno, dict(zip(header, fields))))
     if header is None or not rows:
         raise InsufficientData(f"no data rows in {path}")
     repeated = next((c for i, c in enumerate(header) if c in header[:i]), None)

@@ -397,8 +397,12 @@ def parse_model(text):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(f"{path}: {exc}") from None
+    return parse_model(text)
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,10 @@ def test_unreadable_path_exits_usage(tmp_path, capsys, case):
             "out-is-file": ["ioeq", "--model", DECAY,
                             "--out", str(undecodable)]}[case]
     assert _run(*argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case.startswith("undecodable"):
+        assert err.startswith(f"error: {undecodable}: 'utf-8' codec can't decode")
 
 
 def test_variety_sampling_usage_checked_before_the_run(tmp_path, capsys):
