@@ -4,13 +4,15 @@ Subcommands wire the pipeline end to end: ``ioeq`` derives the input-output
 equation, ``pseudo`` generates jet datasets, ``variety`` estimates the
 coefficient values and emits the constraint equations plus the extension
 report, ``extend`` runs the extension check alone, and ``sample`` grids
-points on a known variety. Artifacts embed the tool version, the seed, and
-input hashes; identical configuration and seed produce byte-identical
-files. Resource caps for the basis computation come from the environment
-(PARAMVARIETY_GB_MAX_PAIRS, PARAMVARIETY_GB_MAX_BASIS; positive integers).
-The derivation runs one Buchberger call per prolongation order, each
-extending the last order's basis, and the caps apply to each call: the pair
-cap to the pairs that call pops, the basis cap to the whole basis it holds.
+points on the variety of given coefficient values (``--v``); the variety of
+a dataset is sampled by ``variety --data --samples``. Artifacts embed the
+tool version, the seed, and input hashes; identical configuration and seed
+produce byte-identical files. Resource caps for the basis computation come
+from the environment (PARAMVARIETY_GB_MAX_PAIRS, PARAMVARIETY_GB_MAX_BASIS;
+positive integers). The derivation runs one Buchberger call per
+prolongation order, each extending the last order's basis, and the caps
+apply to each call: the pair cap to the pairs that call pops, the basis cap
+to the whole basis it holds.
 
 Exit codes: 0 success, 2 usage/parse (an unreadable path too: a missing or
 undecodable input file, a directory given as a file, an --out that is a
@@ -189,17 +191,15 @@ def _write_lines(path, lines):
 
 def cmd_ioeq(args):
     model = load_model(args.model)
-    meta = _metadata(args, _inputs(model=args.model))
+    lines = [f"# {m}" for m in _metadata(args, _inputs(model=args.model))]
+    path = os.path.join(args.out, "ioeq.txt")
     try:
         basis = derive_io_basis(model)
     except NoParameterDependence as exc:
-        _write_lines(os.path.join(args.out, "ioeq.txt"),
-                     [f"# {m}" for m in meta] + [f"# note: {exc}"])
+        _write_lines(path, lines + [f"# note: {exc}"])
         print(f"note: {exc}")
         return 0
-    lines = [f"# {m}" for m in meta] + basis.summary().splitlines()
-    path = os.path.join(args.out, "ioeq.txt")
-    _write_lines(path, lines)
+    _write_lines(path, lines + basis.summary().splitlines())
     print(f"wrote {path} (L = {basis.L}, {basis.n_coeffs} coefficients)")
     return 0
 
@@ -216,11 +216,6 @@ def cmd_pseudo(args):
     return 0
 
 
-def _solve_from_dataset(basis, dataset):
-    matrix, rhs = build_linear_system(basis, dataset)
-    return solve_coefficients(matrix, rhs)
-
-
 def _solve_generated(args, model, basis):
     """Generate pseudo-data and solve it; random times are drawn again, up
     to 10 times, while the system stays ill-conditioned."""
@@ -228,7 +223,7 @@ def _solve_generated(args, model, basis):
 
     def attempt():
         dataset = _generate_dataset(args, model, basis.L, basis.n_coeffs, rng)
-        return _solve_from_dataset(basis, dataset)
+        return solve_coefficients(*build_linear_system(basis, dataset))
 
     if args.times:
         return attempt()
@@ -267,7 +262,7 @@ def cmd_variety(args):
             raise InsufficientData(
                 f"data must be measured for at least {basis.n_coeffs} time "
                 f"points; {args.data} has {len(dataset.times)}")
-        result = _solve_from_dataset(basis, dataset)
+        result = solve_coefficients(*build_linear_system(basis, dataset))
     else:
         result = _solve_generated(args, model, basis)
 
@@ -282,16 +277,18 @@ def cmd_variety(args):
 
     inputs = _inputs(model=args.model, data=args.data)
     meta = _metadata(args, inputs)
+    io_equation = basis.render()
+    equations = [f"{eq.render(model.params)} = 0" for eq in constraints.equations]
     lines = [f"# {m}" for m in meta]
     lines.append(f"L = {basis.L}")
-    lines.append(f"input-output equation: {basis.render()}")
+    lines.append(f"input-output equation: {io_equation}")
     lines.append("coefficient values:")
     for i, v in enumerate(result.v, start=1):
         lines.append(f"  v{i} = {v:.10g}")
     lines.append(f"solve residual = {result.residual:.6g}, condition = {result.cond:.6g}")
     lines.append("variety constraints:")
-    for eq in constraints.equations:
-        lines.append(f"  {eq.render(model.params)} = 0")
+    for eq, text in zip(constraints.equations, equations):
+        lines.append(f"  {text}")
         branch = _branch_note(eq, model.params)
         if branch:
             lines.append(f"  {branch}")
@@ -309,12 +306,11 @@ def cmd_variety(args):
         "seed": args.seed,
         "inputs": {label: digest for label, (_, digest) in inputs.items()},
         "L": basis.L,
-        "io_equation": basis.render(),
+        "io_equation": io_equation,
         "v": [float(x) for x in result.v],
         "residual": result.residual,
         "cond": result.cond,
-        "equations": [eq.render(model.params) + " = 0"
-                      for eq in constraints.equations],
+        "equations": equations,
         "assumptions": [a.render(model.params) + " != 0" for a in assumptions],
         "unconstrained": unconstrained,
         "extension": {
@@ -327,9 +323,8 @@ def cmd_variety(args):
             ],
         },
     }
-    with open(os.path.join(args.out, "variety.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(os.path.join(args.out, "variety.json"),
+                 [json.dumps(doc, indent=2, sort_keys=True)])
 
     if sampling:
         _emit_samples(args, sampling, constraints, meta)
@@ -372,13 +367,9 @@ def _emit_samples(args, sampling, constraints, meta):
         axes.append((px, py))
     result = sample_variety(constraints, free, ranges, args.samples)
     path = os.path.join(args.out, "samples.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in meta:
-            fh.write(f"# {line}\n")
-        fh.write(f"# skipped: {result.skipped}\n")
-        fh.write(",".join(cparams) + "\n")
-        for pt in result.points:
-            fh.write(",".join(f"{pt[p]:.10g}" for p in cparams) + "\n")
+    rows = [",".join(f"{pt[p]:.10g}" for p in cparams) for pt in result.points]
+    _write_lines(path, [*(f"# {m}" for m in meta), f"# skipped: {result.skipped}",
+                        ",".join(cparams), *rows])
     print(f"wrote {path} ({len(result.points)} points, {result.skipped} skipped)")
     for px, py in axes:
         svg_path = os.path.join(args.out, f"variety_{px}_{py}.svg")
@@ -406,21 +397,14 @@ def cmd_sample(args):
     model = load_model(args.model)
     sampling = _sampling_args(args, model)
     basis = derive_io_basis(model)
-    if args.data:
-        dataset = read_dataset(args.data)
-        result = _solve_from_dataset(basis, dataset)
-        v = list(result.v)
-    elif args.v:
-        v = [x.strip() for x in args.v.split(",")]
-        for x in v:
-            _number(x, "--v")
-        if len(v) != basis.n_coeffs:
-            raise UsageError(f"--v needs {basis.n_coeffs} comma-separated values")
-    else:
-        raise UsageError("sample needs --data or --v")
+    v = [x.strip() for x in args.v.split(",")]
+    for x in v:
+        _number(x, "--v")
+    if len(v) != basis.n_coeffs:
+        raise UsageError(f"--v needs {basis.n_coeffs} comma-separated values")
     constraints = variety_constraints(basis, v,
                                       assumptions=model.assume_nonzero)
-    meta = _metadata(args, _inputs(model=args.model, data=args.data))
+    meta = _metadata(args, _inputs(model=args.model))
     _emit_samples(args, sampling, constraints, meta)
     return 0
 
@@ -473,8 +457,7 @@ def _write_svg(path, xs, ys, xlabel, ylabel, meta):
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.2" '
                      'fill="crimson"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +474,10 @@ def build_parser():
                     "polynomial state-space models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, generation=False, sampling=False):
+    def common(p, generation=False, sampling=False):
         p.add_argument("--model", required=True, help="model definition file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        if data:
-            p.add_argument("--data", help="dataset CSV of measured jets")
         if generation:
             p.add_argument("--params", help="parameter values name=value,...")
             p.add_argument("--x0", help="initial state name=expr,... "
@@ -524,7 +505,8 @@ def build_parser():
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("variety", help="estimate the parameter variety")
-    common(p, data=True, generation=True, sampling=True)
+    common(p, generation=True, sampling=True)
+    p.add_argument("--data", help="dataset CSV of measured jets")
     p.set_defaults(func=cmd_variety)
 
     p = sub.add_parser("extend", help="run the extension check")
@@ -532,9 +514,8 @@ def build_parser():
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("sample", help="sample points on a known variety")
-    common(p, data=True, sampling=True)
-    p.add_argument("--v", help="coefficient values, comma-separated "
-                               "(alternative to --data)")
+    common(p, sampling=True)
+    p.add_argument("--v", required=True, help="coefficient values, comma-separated")
     p.set_defaults(func=cmd_sample)
     return parser
 
@@ -548,7 +529,7 @@ def main(argv=None):
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (ParamVarietyError, OSError, NotImplementedError) as exc:
+    except (ParamVarietyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_USAGE)
 

@@ -192,7 +192,7 @@ def _rk4_kernel(model, params):
     operations of term_evaluator in the same order; the stages are
     x + half k and x + sixth (((k1 + 2 k2) + 2 k3) + k4)."""
     if model.inputs:
-        raise NotImplementedError(
+        raise UsageError(
             "integration of models with external inputs needs input "
             "trajectories; none of the bundled case studies use them")
     values = _param_vector(model, params)

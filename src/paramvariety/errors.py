@@ -4,7 +4,6 @@ Exit codes: 0 success, 2 usage/parse/data-shape, 3 numeric failure,
 4 algebra resource cap, 5 internal invariant violation.
 """
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4

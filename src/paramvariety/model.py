@@ -78,7 +78,6 @@ class ProlongedSystem:
     one in the same relative variable order: an order-(i - 1) Groebner basis
     carried over is still a Groebner basis here."""
 
-    order: int
     gens: tuple
     ring: MonomialOrder
     new: tuple
@@ -439,5 +438,4 @@ def prolong(model, order):
         g_cur = g_cur.derivative(velocity)
         gens.append(Poly.var(ring, DiffVar(model.output, k), n) - g_cur)
     new = gens if order == 1 else new + gens[-1:]
-    return ProlongedSystem(order=order, gens=tuple(gens), ring=ring,
-                           new=tuple(new))
+    return ProlongedSystem(gens=tuple(gens), ring=ring, new=tuple(new))

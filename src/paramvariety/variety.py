@@ -22,6 +22,7 @@ call, not with this module, so importing the package does not load it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -275,7 +276,6 @@ def variety_constraints(basis, v, assumptions=()):
 class SampleResult:
     points: list          # dicts param name -> float
     skipped: int
-    free_params: tuple
 
 
 def sample_variety(constraints, free_params, ranges, n):
@@ -289,8 +289,8 @@ def sample_variety(constraints, free_params, ranges, n):
     Jacobian of every point that needs a new step and one stacked
     least-squares call for all those steps, then each point's own
     accept-or-halve test, so every point takes the steps it would take
-    alone. Points that leave their declared range, violate a nonzero
-    assumption, or fail to converge are skipped, with the count reported.
+    alone. Points that leave their range, violate a nonzero assumption, fail
+    to converge or overflow (``_overflow_as_nan``) are skipped and counted.
     n, the number of grid points asked for, must be an integer of at least
     1, every range (lo, hi) must have finite lo <= hi and no free parameter
     may be given twice; anything else raises UsageError.
@@ -328,11 +328,11 @@ def sample_variety(constraints, free_params, ranges, n):
                           for eq in nontrivial])
     # compiled once per call; a row is divided by its scale after evaluation
     eq_terms = [term_list(eq.packed, range(eq.n), range(eq.n)) for eq in nontrivial]
-    eqs = batch_evaluator(eq_terms)
-    partials = batch_evaluator([d for terms in eq_terms
-                                for d in term_list_partials(terms, solved_idx)])
-    assumptions = batch_evaluator([term_list(a.packed, range(a.n), range(a.n))
-                                   for a in constraints.assumptions])
+    eqs = _overflow_as_nan(eq_terms)
+    partials = _overflow_as_nan([d for terms in eq_terms
+                                 for d in term_list_partials(terms, solved_idx)])
+    assumptions = _overflow_as_nan([term_list(a.packed, range(a.n), range(a.n))
+                                    for a in constraints.assumptions])
     jac_scale = np.repeat(row_scale, len(solved))
     jac_shape = (len(nontrivial), len(solved))
 
@@ -366,8 +366,29 @@ def sample_variety(constraints, free_params, ranges, n):
                            for p in cparams)
             if in_range and all(abs(a) > 1e-12 for a in values):
                 points.append({p: row[name_idx[p]] for p in cparams})
-    return SampleResult(points=points, skipped=len(full) - len(points),
-                        free_params=free_params)
+    return SampleResult(points=points, skipped=len(full) - len(points))
+
+
+def _overflow_as_nan(term_lists):
+    """``batch_evaluator(term_lists)``, with a row whose evaluation overflows
+    (a power past the float range raises OverflowError) read as nan: a block
+    that raises is evaluated again row by row, so the other rows keep their
+    bits, and a block that does not raise costs nothing more."""
+    import numpy as np
+
+    evaluate, width = batch_evaluator(term_lists), len(term_lists)
+
+    def ev(values):
+        try:
+            return evaluate(values)
+        except OverflowError:
+            out = np.full((len(values), width), np.nan)
+            for k, x in enumerate(values):
+                with contextlib.suppress(OverflowError):
+                    out[k] = evaluate(x[None])[0]
+            return out
+
+    return ev
 
 
 def _gauss_newton(full, solved_idx, residuals, jacobian):
@@ -384,19 +405,19 @@ def _gauss_newton(full, solved_idx, residuals, jacobian):
     _NEWTON_MAX_ITER accepted steps, each halved down to _NEWTON_MIN_DAMP
     until the residual norm drops. The norm is sqrt(r . r) on the row's
     contiguous residual vector, the computation of np.linalg.norm on a 1-D
-    float array."""
+    float array. Overflow warnings are off from the first evaluation on."""
     import numpy as np
 
-    res = residuals(full)
-    norm = [math.sqrt(r.dot(r)) for r in res]
-    if not solved_idx:
-        return [x <= _NEWTON_TOL for x in norm]
     done = [False] * len(full)
     taken = [0] * len(full)
     damp = [1.0] * len(full)
     step = np.empty((len(full), len(solved_idx)))
     starting, searching = range(len(full)), []
     with np.errstate(over="ignore", invalid="ignore"):
+        res = residuals(full)
+        norm = [math.sqrt(r.dot(r)) for r in res]
+        if not solved_idx:
+            return [x <= _NEWTON_TOL for x in norm]
         while True:
             fresh = []
             for i in starting:

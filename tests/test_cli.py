@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from paramvariety import cli
 from paramvariety.cli import build_parser, main
+
+from .helpers import input_model_texts
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 VIRAL = str(MODELS / "viral.model")
@@ -252,21 +255,28 @@ def test_sample_command_with_v(tmp_path):
     assert (tmp_path / "variety_a4_a5.svg").exists()
 
 
-def test_sample_data_matches_variety_data(tmp_path):
-    # both commands solve the same dataset, so they sample the same points
-    # at the 10 digits samples.csv prints
+def test_sample_v_matches_variety_data(tmp_path):
+    # variety is the one command that turns a dataset into constraints: sample
+    # given the v of variety.json at the 10 digits variety.txt prints grids
+    # the same points, and sample takes no dataset
     assert _run("pseudo", "--model", VIRAL, *GEN_2D, "--out", str(tmp_path)) == 0
     data = str(tmp_path / "dataset.csv")
+    grid = ["--samples", "8", "--free", "a4", *VIRAL_RANGES]
+    assert _run("variety", "--model", VIRAL, "--data", data, *grid,
+                "--out", str(tmp_path / "variety")) == 0
+    v = json.loads((tmp_path / "variety" / "variety.json").read_text())["v"]
+    assert _run("sample", "--model", VIRAL, "--v", ",".join(f"{x:.10g}" for x in v),
+                *grid, "--out", str(tmp_path / "sample")) == 0
     rows = {}
     for command in ("sample", "variety"):
-        out = tmp_path / command
-        assert _run(command, "--model", VIRAL, "--data", data, "--samples", "8",
-                    "--free", "a4", *VIRAL_RANGES, "--out", str(out)) == 0
-        rows[command] = [l for l in (out / "samples.csv").read_text().splitlines()
-                         if not l.startswith("#")]
-    assert rows["sample"][0] == "a4,a5,a7"
-    assert len(rows["sample"]) == 9
+        rows[command] = [l for l in (tmp_path / command / "samples.csv")
+                         .read_text().splitlines()
+                         if l.startswith("# skipped:") or not l.startswith("#")]
+    assert rows["sample"][:2] == ["# skipped: 0", "a4,a5,a7"]
+    assert len(rows["sample"]) == 10
     assert rows["sample"] == rows["variety"]
+    assert _run("sample", "--model", VIRAL, "--data", data, *grid,
+                "--out", str(tmp_path / "sample-data")) == 2
 
 
 def test_sample_needs_source(tmp_path):
@@ -420,6 +430,41 @@ def test_sample_names_checked_before_sampling(tmp_path, capsys, extra):
                 "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "samples.csv").exists()
+
+
+LV_RANGES = "a1=0.3:3,a2=0.15:1.5,a3=1.5:15,a4=0.3:3,a5=0.06:0.6,a6=1:7.2"
+
+
+@pytest.mark.parametrize("huge", ["a1=0.3:1e300", "a6=1:1e300"],
+                         ids=["power-overflows", "norm-overflows"])
+def test_sample_huge_range_skips_quietly(tmp_path, capsys, huge):
+    # from a1 near 5e299 a power in the constraints overflows (OverflowError);
+    # from a6 near 5e299 the residual norm does (a numpy RuntimeWarning): each
+    # point is skipped and counted, with no error and no warning
+    name = huge.partition("=")[0]
+    ranges = ",".join(huge if r.startswith(f"{name}=") else r
+                      for r in LV_RANGES.split(","))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("sample", "--model", str(MODELS / "lotka_volterra.model"),
+                    "--v", "0.5,-12,22,0,12,-1.5", "--free", "a3",
+                    "--samples", "4", "--ranges", ranges, "--out", str(tmp_path))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    assert lines[-2:] == ["# skipped: 4", "a1,a2,a3,a4,a5,a6"]
+
+
+def test_variety_on_input_model_exits_usage(tmp_path, capsys):
+    # integration needs input trajectories, which no option supplies
+    model = tmp_path / "input.model"
+    model.write_text(input_model_texts()["input"])
+    code = _run("variety", "--model", str(model), "--params", "a1=1,a2=2",
+                "--x0", "x1=1,x2=1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration of models with external inputs")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("x0, message", [

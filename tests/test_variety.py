@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -669,6 +670,22 @@ def test_sample_infinite_jacobian_skips_quietly():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (proc.stdout, proc.stderr) == ("0 4\n", "")
+
+
+def test_sample_overflowing_points_are_skipped():
+    # a2 = a1^400 over a grid a1 = 1, 3, 5, 7: only 7^400 overflows, where a
+    # Python power raises OverflowError; that point is skipped, 3^400 and
+    # 5^400 leave the a2 range, and a1 = 1 keeps the bits it has alone
+    cons = VarietyConstraints(equations=[pp(2, {(0, 1): 1, (400, 0): -1})],
+                              param_names=("a1", "a2"))
+    with pytest.raises(OverflowError):
+        7.0 ** 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sample_variety(cons, ["a1"], {"a1": (0.0, 8.0), "a2": (0.0, 3.0)}, 4)
+        alone = sample_variety(cons, ["a1"], {"a1": (1.0, 1.0), "a2": (0.0, 3.0)}, 1)
+    assert (len(out.points), out.skipped) == (1, 3)
+    assert repr(out.points) == repr(alone.points) == repr([{"a1": 1.0, "a2": 1.0}])
 
 
 # ---------------------------------------------------------------------------
