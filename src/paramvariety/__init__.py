@@ -9,9 +9,14 @@ spurious parameters remain.
 
 The exact half (input-output equation, Groebner basis, extension check) is
 pure Python, and each of its layers reads the jet ring off the polynomials
-it is given. numpy serves only the float half (pseudo-data, the coefficient
-solve, sampling) and is imported on the first float call, so importing the
-package, or running ``ioeq`` or ``extend``, does not load it.
+it is given. So is the data path of model-generated pseudo-data: the RK4
+refinement on Python floats, the exact push-forward jets and the exact
+coefficient solve. numpy serves only the float data path (finite-difference
+pseudo-data, float coefficient systems from measured or closed-form jets,
+the numpy ``Trajectory`` of ``integrate_model``) and sampling, and is
+imported on the first such call, so importing the package, or running
+``ioeq``, ``extend``, ``pseudo`` or ``variety`` on generated push-forward
+data, does not load it.
 """
 
 from .algebra import (

@@ -285,7 +285,8 @@ def cmd_variety(args):
     lines.append("coefficient values:")
     for i, v in enumerate(result.v, start=1):
         lines.append(f"  v{i} = {v:.10g}")
-    lines.append(f"solve residual = {result.residual:.6g}, condition = {result.cond:.6g}")
+    cond = "n/a (exact solve)" if result.cond is None else f"{result.cond:.6g}"
+    lines.append(f"solve residual = {result.residual:.6g}, condition = {cond}")
     lines.append("variety constraints:")
     for eq, text in zip(constraints.equations, equations):
         lines.append(f"  {text}")

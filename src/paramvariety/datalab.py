@@ -19,15 +19,18 @@ order, and its stages keep the operation order of the numpy formulation:
 the states are bit for bit the same as evaluating the model with
 ``term_evaluator`` under numpy-style stages.
 
-numpy is imported inside the float functions (``integrate_model``,
-``central_difference``, ``make_dataset``) on their first call, not with
-this module, so the exact half of the package never loads it.
+The step-halving refinement runs on Python floats too (``_integrate``),
+so symbolic pseudo-data never load numpy. numpy is imported only inside
+the functions that hand out or take arrays (``integrate_model``, which
+returns a numpy ``Trajectory``, ``central_difference`` and the
+finite-difference branch of ``make_dataset``) on their first call.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -232,60 +235,100 @@ def _rk4_kernel(model, params):
     return namespace.pop("kernel")
 
 
+def _integrate(model, params, x0, grid):
+    """(times, states) of the RK4 refinement along the grid, on Python
+    floats: the grid as a list, and the state at each of its times as a list
+    in state order.
+
+    Level m runs m times the base substeps (max(4, ceil(_BASE_DENSITY dt))
+    per segment) in the kernel of _rk4_kernel. Levels 1 and 2 are compared
+    point by point, |fine - coarse| / max(1e-300, |fine|) < _REL_TOL in
+    every entry; when every point agrees the finer level is the result,
+    else levels 2 and 4 are compared the same way, and when they disagree
+    too, level 8 (_MAX_HALVINGS halvings) is the result without a test,
+    since no test could change it. Each level is integrated on demand, only
+    as far as the test that reads it: a disagreement at one point stops the
+    coarse level there, so a coarse state that would overflow only after
+    that point is never computed. A level that overflows or becomes
+    non-finite before that raises BlowUp."""
+    check_assumptions(model, params)
+    times = _floats(grid)
+    if not times:
+        raise ValueError("grid must be a non-empty 1-D array of times")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise UsageError("grid times must be strictly increasing")
+    t0, t1 = model.horizon
+    if times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12:
+        raise UsageError(f"grid leaves the model horizon [{t0}, {t1}]")
+    kernel = _rk4_kernel(model, params)
+    x0 = _floats(x0)
+    if x0 is None or len(x0) != model.nstates:
+        raise ValueError(f"x0 must have {model.nstates} entries")
+    segments = [(a, b, max(4, math.ceil((b - a) * _BASE_DENSITY)))
+                for a, b in zip(times, times[1:])]
+
+    def level(mult):
+        states = [x0]
+
+        def at(i):
+            while len(states) <= i:
+                a, b, nsteps = segments[len(states) - 1]
+                states.append(kernel(states[-1], a, b, nsteps * mult))
+            return states[i]
+
+        return states, at
+
+    _, coarse = level(1)
+    mult = 1
+    for _ in range(_MAX_HALVINGS - 1):
+        mult *= 2
+        states, fine = level(mult)
+        if all(_agree(coarse(i), fine(i)) for i in range(1, len(times))):
+            return times, states
+        coarse = fine
+    states, fine = level(mult * 2)
+    fine(len(times) - 1)
+    return times, states
+
+
+def _floats(values):
+    """The floats of a flat sequence of real numbers; None for anything
+    else."""
+    try:
+        if all(isinstance(v, numbers.Real) for v in values):
+            return [float(v) for v in values]
+    except TypeError:
+        pass
+    return None
+
+
+def _agree(coarse, fine):
+    return all(abs(b - a) / max(1e-300, abs(b)) < _REL_TOL
+               for a, b in zip(coarse, fine))
+
+
 def integrate_model(model, params, x0, grid):
-    """Classical RK4 along the given time grid.
+    """Classical RK4 along the given time grid, as numpy arrays.
 
     The substep is refined by halving until the states change by less than
-    _REL_TOL relative (at most _MAX_HALVINGS extra refinements). Every segment
-    of every refinement runs in one kernel generated for this call
-    (_rk4_kernel): straight-line code on Python float locals whose
-    right-hand sides evaluate in term_evaluator's operation order (sum seeded
-    with 0.0, terms in dict order, factors in ring order) and whose stages
-    are x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the order of
-    the numpy formulation they replace, so the states are bit for bit those
-    of numpy float64 arithmetic, signs of zero included.
-    A state that overflows or becomes non-finite raises BlowUp.
+    _REL_TOL relative (at most _MAX_HALVINGS extra refinements), on Python
+    floats (_integrate). Every segment of every refinement runs in one
+    kernel generated for this call (_rk4_kernel): straight-line code on
+    Python float locals whose right-hand sides evaluate in term_evaluator's
+    operation order (sum seeded with 0.0, terms in dict order, factors in
+    ring order) and whose stages are x + (h/2) k and
+    x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the order of a numpy formulation,
+    so the states are bit for bit those of numpy float64 arithmetic, signs
+    of zero included. A state that overflows or becomes non-finite raises
+    BlowUp. The outputs are the observation at each state.
     """
     import numpy as np
 
-    check_assumptions(model, params)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a non-empty 1-D array of times")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UsageError("grid times must be strictly increasing")
-    t0, t1 = model.horizon
-    if grid[0] < t0 - 1e-12 or grid[-1] > t1 + 1e-12:
-        raise UsageError(f"grid leaves the model horizon [{t0}, {t1}]")
-    kernel = _rk4_kernel(model, params)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.nstates,):
-        raise ValueError(f"x0 must have {model.nstates} entries")
-    times = grid.tolist()
-
-    def run(mult):
-        states = [x0.tolist()]
-        x = states[0]
-        for a, b in zip(times, times[1:]):
-            nsteps = max(4, math.ceil((b - a) * _BASE_DENSITY)) * mult
-            x = kernel(x, a, b, nsteps)
-            states.append(x)
-        return np.array(states)
-
-    states = run(1)
-    mult = 1
-    for _ in range(_MAX_HALVINGS):
-        finer = run(mult * 2)
-        scale = np.maximum(1e-300, np.abs(finer))
-        if np.max(np.abs(finer - states) / scale) < _REL_TOL:
-            states = finer
-            break
-        states, mult = finer, mult * 2
-
+    times, states = _integrate(model, params, x0, grid)
     g = term_evaluator(compiled_terms(model.g, _state_index(model),
                                       _param_vector(model, params)))
-    outputs = [g(x) for x in states.tolist()]
-    return Trajectory(times=grid, states=states, outputs=np.array(outputs))
+    return Trajectory(times=np.array(times), states=np.array(states),
+                      outputs=np.array([g(x) for x in states]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +516,9 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
     exact. 'exact-viral' uses the closed form (template models only) and
     'finite-difference' differentiates a densely sampled trajectory; both
     give float jets, which are solved in floating point like measured data.
+    The symbolic method integrates on Python floats (_integrate), so only
+    the finite-difference one loads numpy.
     """
-    import numpy as np
-
     times = sorted(float(t) for t in times)
     if t0 is None:
         t0 = model.horizon[0]
@@ -497,14 +540,16 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
         raise UsageError("measurement times must not precede the initial time")
     if method == "symbolic":
         grid = [t0] + [t for t in times if t > t0 + 1e-15]
-        traj = integrate_model(model, params, x0, grid)
+        _, states = _integrate(model, params, x0, grid)
         jet = _jet_evaluator(model, params, order)
         y_jets = []
         for t in times:
             i = grid.index(t) if t in grid else 0
-            y_jets.append(jet(traj.states[i]))
+            y_jets.append(jet(states[i]))
         return DataSet(times=times, y_jets=y_jets,
                        sources=["symbolic_pushforward"] * len(times))
+    import numpy as np
+
     nsteps = max(int(round((times[-1] - t0) / _FD_STEP)), 8)
     grid = np.linspace(t0, times[-1], nsteps + 1)
     traj = integrate_model(model, params, x0, grid)

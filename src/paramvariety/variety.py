@@ -16,8 +16,9 @@ the residuals, one of the Jacobian and one stacked least-squares call per
 round, then a line-search test per point, so every point does the float
 operations it would do alone.
 
-numpy is imported inside the solve and sampling functions on their first
-call, not with this module, so importing the package does not load it.
+numpy is imported on the float path only (float systems and the sampler),
+on its first call, not with this module: importing the package, or
+assembling and solving an exact system, does not load it.
 """
 
 from __future__ import annotations
@@ -50,9 +51,13 @@ _GRID_BLOCK = 1024
 
 @dataclass(frozen=True)
 class SolveResult:
-    v: np.ndarray
+    """The coefficient values v (a list of floats), the residual norm of
+    the solve and the float condition number of the matrix; cond is None
+    for an exact system, whose solve no condition bounds."""
+
+    v: list
     residual: float
-    cond: float
+    cond: float | None
 
 
 @dataclass
@@ -77,14 +82,12 @@ def build_linear_system(basis, data):
 
     Returns (matrix, rhs) with matrix[i][l] = f_l at row i and
     rhs[i] = the parameter-free side at row i. When every jet value is an
-    int or Fraction the arrays hold exact values (dtype object); otherwise
-    they are float arrays. Each column compiles its monomial with
-    coefficient 1, and the rhs its exact coefficients, as floats for float
-    data; every sum is seeded with 0, which leaves a float sum as a 0.0 seed
-    does and an exact one exact.
+    int or Fraction they are lists of exact values; otherwise they are
+    float arrays. Each column compiles its monomial with coefficient 1, and
+    the rhs its exact coefficients, as floats for float data; every sum is
+    seeded with 0, which leaves a float sum as a 0.0 seed does and an exact
+    one exact.
     """
-    import numpy as np
-
     if data.order < basis.L:
         raise JetOrderMismatch(
             f"data carries jets to order {data.order}, the input-output "
@@ -102,43 +105,61 @@ def build_linear_system(basis, data):
         rhs_terms = {key: float(c) for key, c in rhs_terms.items()}
     rhs = term_evaluator(term_list(rhs_terms, ring.vars, ring.index), 0)
     matrix = [[col(vals) for col in cols] for vals in rows]
-    dtype = object if exact else float
-    return (np.array(matrix, dtype=dtype).reshape(len(rows), basis.n_coeffs),
-            np.array([rhs(vals) for vals in rows], dtype=dtype))
+    b = [rhs(vals) for vals in rows]
+    if exact:
+        return matrix, b
+    import numpy as np
+
+    return (np.array(matrix, dtype=float).reshape(len(rows), basis.n_coeffs),
+            np.array(b, dtype=float))
 
 
 def _is_rational(x):
     return isinstance(x, (int, Fraction))
 
 
+def _exact_system(matrix, rhs):
+    """(rows, rhs) as lists when every entry of both is an int or Fraction,
+    else None. A numpy array is scanned only with dtype object: an array of
+    floats or of numpy integers is a float system."""
+    dtype = getattr(matrix, "dtype", object)
+    if dtype != object or getattr(rhs, "dtype", object) != object:
+        return None
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    if all(_is_rational(x) for row in a for x in row) and all(map(_is_rational, b)):
+        return a, b
+    return None
+
+
 def solve_coefficients(matrix, rhs):
     """Solve for the coefficient values: exact solve when square, least
-    squares when overdetermined. Reports the residual norm and the float
-    condition number of the matrix.
+    squares when overdetermined. Reports the residual norm and, for a float
+    system, the float condition number of the matrix.
 
     Exact systems (every entry an int or Fraction, as build_linear_system
-    gives for push-forward pseudo-data) are solved exactly by one
-    fraction-free elimination on integers (``_solve_exact``): v is the exact
-    solution y/det, or the exact least-squares solution when the rows are
-    inconsistent, rounded once per entry. They are refused only when
-    exactly rank deficient, whatever their condition.
+    gives for push-forward pseudo-data, in lists or object arrays) are
+    solved exactly by one fraction-free elimination on integers
+    (``_solve_exact``), without numpy: v is the exact solution y/det, or the
+    exact least-squares solution when the rows are inconsistent, rounded
+    once per entry, and cond is None. They are refused only when exactly
+    rank deficient, whatever their condition.
     Float systems (measured data) are solved in floating point and refused
-    when rank deficient or when the condition exceeds COND_THRESHOLD.
+    when rank deficient or when the condition exceeds COND_THRESHOLD; a
+    float array goes to this path without a scan of its entries.
     """
+    exact = _exact_system(matrix, rhs)
+    if exact is not None:
+        a, b = exact
+        _check_rows(len(a), len(a[0]) if a else 0)
+        return _solve_exact(a, b)
     import numpy as np
 
-    matrix = np.asarray(matrix)
-    rhs = np.asarray(rhs)
-    k, l = matrix.shape
-    if k < l:
-        raise InsufficientData(
-            f"data must be measured for at least {l} time points "
-            f"(the number of parameter-dependent monomials); got {k}")
-    fmatrix = matrix.astype(float)
-    frhs = rhs.astype(float)
+    fmatrix = np.asarray(matrix, dtype=float)
+    frhs = np.asarray(rhs, dtype=float)
+    k, l = fmatrix.shape
+    _check_rows(k, l)
     cond = float(np.linalg.cond(fmatrix))
-    if all(map(_is_rational, matrix.flat)) and all(map(_is_rational, rhs.flat)):
-        return _solve_exact(matrix.tolist(), rhs.tolist(), cond)
     if not math.isfinite(cond) or cond > COND_THRESHOLD:
         raise IllConditioned(
             f"coefficient system condition estimate {cond:.3g} exceeds "
@@ -148,10 +169,17 @@ def solve_coefficients(matrix, rhs):
     else:
         v, *_ = np.linalg.lstsq(fmatrix, frhs, rcond=None)
     residual = float(np.linalg.norm(fmatrix @ v - frhs))
-    return SolveResult(v=v, residual=residual, cond=cond)
+    return SolveResult(v=v.tolist(), residual=residual, cond=cond)
 
 
-def _solve_exact(a, b, cond):
+def _check_rows(k, l):
+    if k < l:
+        raise InsufficientData(
+            f"data must be measured for at least {l} time points "
+            f"(the number of parameter-dependent monomials); got {k}")
+
+
+def _solve_exact(a, b):
     """Exact solve of the rational system a v = b, k >= n rows: one
     fraction-free elimination of all k augmented rows, each cleared to
     integers on its own.
@@ -163,8 +191,6 @@ def _solve_exact(a, b, cond):
     integers from one scale of the whole system (a scale per row would
     weight the rows and move the least-squares solution); its residual is
     the float of an exact rational, square-rooted."""
-    import numpy as np
-
     n = len(a[0])
     solved = _bareiss_solve([_integers([*row, bi]) for row, bi in zip(a, b)], n)
     if solved is None:
@@ -184,8 +210,8 @@ def _solve_exact(a, b, cond):
         # a v - b = (ia y - det ib) / (scale det), row by row
         num = sum((_dot(row, y) - det * bi) ** 2 for row, bi in zip(ia, ib))
         residual = math.sqrt(num / (scale * det) ** 2)
-    return SolveResult(v=np.array([float(Fraction(yi, det)) for yi in y]),
-                       residual=residual, cond=cond)
+    return SolveResult(v=[float(Fraction(yi, det)) for yi in y],
+                       residual=residual, cond=None)
 
 
 def _integers(values, scale=None):

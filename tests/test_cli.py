@@ -217,21 +217,34 @@ import json, sys
 import paramvariety
 from paramvariety import cli
 models, out = sys.argv[1], sys.argv[2]
-for name in ("decay", "viral", "lotka_volterra", "virus_full"):
+nominal = {
+    "decay": ("a1=-0.4", "x1=2.0"),
+    "viral": ("a4=0.16,a5=0.95,a6=1.0,a7=5.6", "x2=(a7/a6)*1.0e6,x3=1.0e6"),
+    "lotka_volterra": ("a1=1.0,a2=0.5,a3=5.0,a4=1.0,a5=0.2,a6=2.4",
+                       "x1=1.0,x2=2.0"),
+    "virus_full": ("a1=1.525e6,a2=0.01,a3=3e-7,a4=0.3,a5=0.9,a6=2.0,a7=5.0",
+                   "x1=(a4*a7)/(a3*a6),x2=(a7/a6)*2.0e6,x3=2.0e6"),
+}
+for name, (params, x0) in nominal.items():
+    model = ["--model", f"{models}/{name}.model", "--out", out]
     for command in ("ioeq", "extend"):
-        assert cli.main([command, "--model", f"{models}/{name}.model", "--out", out]) == 0
+        assert cli.main([command, *model]) == 0
+    generated = ["--params", params, "--x0", x0]
+    assert cli.main(["variety", *model, *generated]) == 0
+    assert cli.main(["pseudo", *model, *generated, "--method", "symbolic"]) == 0
 exact_half = "numpy" in sys.modules
-assert cli.main(["variety", "--model", f"{models}/viral.model", "--out", out,
-                 "--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
-                 "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6"]) == 0
+assert cli.main(["pseudo", "--model", f"{models}/decay.model", "--out", out,
+                 "--params", "a1=-0.4", "--x0", "x1=2.0", "--times", "0.5,1",
+                 "--method", "finite-difference"]) == 0
 print(json.dumps([exact_half, "numpy" in sys.modules]))
 """
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
-    """import paramvariety, ioeq and extend stay off numpy; the float path
-    (a variety run) loads it on its first call, which shows the probe sees
-    the import."""
+    """import paramvariety, ioeq, extend, and variety and pseudo on
+    generated push-forward data stay off numpy on every bundled model; the
+    float path (finite-difference pseudo-data) loads it on its first call,
+    which shows the probe sees the import."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START_PROBE, str(MODELS), str(tmp_path)],
@@ -239,6 +252,23 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
+
+
+def test_condition_names_the_solve_path(tmp_path):
+    # generated push-forward data are solved exactly, which no condition
+    # number bounds; a float dataset keeps its numeric condition
+    assert _run("variety", "--model", VIRAL, "--params", "a4=0.16,a5=0.95,a6=1,a7=5.6",
+                "--x0", "x2=(a7/a6)*1.0e6,x3=1.0e6", "--out", str(tmp_path / "exact")) == 0
+    text = (tmp_path / "exact" / "variety.txt").read_text()
+    assert ", condition = n/a (exact solve)\n" in text
+    assert json.loads((tmp_path / "exact" / "variety.json").read_text())["cond"] is None
+    assert _run("pseudo", "--model", VIRAL, *GEN_2D, "--out", str(tmp_path)) == 0
+    assert _run("variety", "--model", VIRAL, "--data", str(tmp_path / "dataset.csv"),
+                "--out", str(tmp_path / "float")) == 0
+    cond = json.loads((tmp_path / "float" / "variety.json").read_text())["cond"]
+    assert isinstance(cond, float) and 1.0 <= cond < 1e8
+    text = (tmp_path / "float" / "variety.txt").read_text()
+    assert f", condition = {cond:.6g}\n" in text
 
 
 def test_sample_command_with_v(tmp_path):

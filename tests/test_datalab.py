@@ -419,6 +419,36 @@ def test_rk4_bit_identical_to_numpy_reference(name, grid, halvings):
         map(_bits, _float_rk4_reference(model, params, x0, grid)[:2]))
 
 
+def test_refinement_integrates_only_what_its_tests_read(monkeypatch):
+    # LV over [0, 1, 2, 3] takes all 3 halvings. The level 1 vs 2 and level
+    # 2 vs 4 tests each fail at the first grid point, so levels 1, 2 and 4
+    # stop after the first segment, and level 8 is the result without a
+    # test. A loop that integrated every level over the whole grid would
+    # run 15 times the base substeps.
+    import paramvariety.datalab as datalab
+
+    model, params, x0 = _rk4_case("lotka_volterra")
+    grid = [0.0, 1.0, 2.0, 3.0]
+    substeps = []
+    real = datalab._rk4_kernel
+
+    def counting(model, params):
+        kernel = real(model, params)
+
+        def counted(x, t0, t1, nsteps):
+            substeps.append(nsteps)
+            return kernel(x, t0, t1, nsteps)
+
+        return counted
+
+    monkeypatch.setattr(datalab, "_rk4_kernel", counting)
+    traj = integrate_model(model, params, x0, grid)
+    base = [max(4, math.ceil((b - a) * 64)) for a, b in zip(grid, grid[1:])]
+    assert sum(substeps) <= 8 * sum(base) + (1 + 2 + 4) * base[0]
+    states, _, halvings = _numpy_rk4_reference(model, params, x0, grid)
+    assert halvings == 3 and _bits(traj.states) == _bits(states)
+
+
 def test_assumption_violation_rejected(viral_model):
     with pytest.raises(ValueError):
         integrate_model(viral_model, dict(a4=0.1, a5=1.0, a6=1.0, a7=5.0),
