@@ -269,8 +269,8 @@ def cmd_variety(args):
     assumptions = list(model.assume_nonzero)
     # embed what we print: 10 significant digits, with solve noise below
     # the conditioning floor snapped to exact zero
-    scale = max(1.0, max(abs(float(x)) for x in result.v))
-    v_embed = [0.0 if abs(float(x)) <= 1e-10 * scale else float(f"{float(x):.10g}")
+    scale = max(1.0, max(abs(x) for x in result.v))
+    v_embed = [0.0 if abs(x) <= 1e-10 * scale else float(f"{x:.10g}")
                for x in result.v]
     constraints = variety_constraints(basis, v_embed, assumptions=assumptions)
     report = run_extension_check(model, basis.gb)
@@ -308,7 +308,7 @@ def cmd_variety(args):
         "inputs": {label: digest for label, (_, digest) in inputs.items()},
         "L": basis.L,
         "io_equation": io_equation,
-        "v": [float(x) for x in result.v],
+        "v": result.v,
         "residual": result.residual,
         "cond": result.cond,
         "equations": equations,

@@ -236,21 +236,17 @@ def _rk4_kernel(model, params):
 
 
 def _integrate(model, params, x0, grid):
-    """(times, states) of the RK4 refinement along the grid, on Python
-    floats: the grid as a list, and the state at each of its times as a list
-    in state order.
+    """(times, states) of the RK4 refinement along the grid on Python
+    floats: the times as a list, and the state at each as a list in state
+    order.
 
-    Level m runs m times the base substeps (max(4, ceil(_BASE_DENSITY dt))
-    per segment) in the kernel of _rk4_kernel. Levels 1 and 2 are compared
-    point by point, |fine - coarse| / max(1e-300, |fine|) < _REL_TOL in
-    every entry; when every point agrees the finer level is the result,
-    else levels 2 and 4 are compared the same way, and when they disagree
-    too, level 8 (_MAX_HALVINGS halvings) is the result without a test,
-    since no test could change it. Each level is integrated on demand, only
-    as far as the test that reads it: a disagreement at one point stops the
-    coarse level there, so a coarse state that would overflow only after
-    that point is never computed. A level that overflows or becomes
-    non-finite before that raises BlowUp."""
+    Level m runs m times each segment's base substeps. Levels 1 and 2, then
+    2 and 4, are compared point by point (|fine - coarse| / max(1e-300,
+    |fine|) < _REL_TOL in every entry). The first finer level that agrees
+    at every point is the result; when both disagree, level 8
+    (_MAX_HALVINGS halvings) is, with no test, as no test could change it.
+    A level is integrated only as far as its test reads, so a coarse state
+    past the first disagreement, and a BlowUp there, is never computed."""
     check_assumptions(model, params)
     times = _floats(grid)
     if not times:
@@ -308,19 +304,17 @@ def _agree(coarse, fine):
 
 
 def integrate_model(model, params, x0, grid):
-    """Classical RK4 along the given time grid, as numpy arrays.
+    """Classical RK4 along the given time grid, refined by step halving
+    (_integrate), as a numpy Trajectory.
 
-    The substep is refined by halving until the states change by less than
-    _REL_TOL relative (at most _MAX_HALVINGS extra refinements), on Python
-    floats (_integrate). Every segment of every refinement runs in one
-    kernel generated for this call (_rk4_kernel): straight-line code on
-    Python float locals whose right-hand sides evaluate in term_evaluator's
-    operation order (sum seeded with 0.0, terms in dict order, factors in
-    ring order) and whose stages are x + (h/2) k and
-    x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), the order of a numpy formulation,
-    so the states are bit for bit those of numpy float64 arithmetic, signs
-    of zero included. A state that overflows or becomes non-finite raises
-    BlowUp. The outputs are the observation at each state.
+    Every segment runs in one kernel generated for this call (_rk4_kernel):
+    straight-line code on Python float locals whose right-hand sides
+    evaluate in term_evaluator's operation order (sum seeded with 0.0, terms
+    in dict order, factors in ring order) and whose stages are
+    x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the states are
+    bit for bit those of numpy float64 arithmetic in that order, signs of
+    zero included. A state that overflows or becomes non-finite raises
+    BlowUp.
     """
     import numpy as np
 
