@@ -151,7 +151,7 @@ def solve_coefficients(matrix, rhs):
     exact = _exact_system(matrix, rhs)
     if exact is not None:
         a, b = exact
-        _check_rows(len(a), len(a[0]) if a else 0)
+        _check_rows(len(a), len(a[0]))
         return _solve_exact(a, b)
     import numpy as np
 

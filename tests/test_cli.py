@@ -407,6 +407,7 @@ DECAY_GEN = ["--params", "a1=-0.4", "--x0", "x1=2", "--times", "0.5,1",
      "finite-difference", "--model", VANISHING],
     ["pseudo", *DECAY_GEN, "--t0", "nan"],
     ["variety", *DECAY_GEN, "--t0", "nan"],
+    ["variety", *VIRAL_GEN, "--times", "2"],
 ], ids=["bad-param-value", "bad-time", "time-past-horizon", "repeated-time",
         "t0-before-horizon", "assumption-violated", "assumption-divides",
         "missing-range", "free-not-constrained", "missing-params",
@@ -417,7 +418,7 @@ DECAY_GEN = ["--params", "a1=-0.4", "--x0", "x1=2", "--times", "0.5,1",
         "repeated-x0", "repeated-range", "state-in-x0", "state-in-assumption",
         "bad-x0-expression", "model-denominator-vanishes",
         "pseudo-model-denominator-vanishes", "difference-model-denominator-vanishes",
-        "pseudo-nan-t0", "variety-nan-t0"])
+        "pseudo-nan-t0", "variety-nan-t0", "too-few-generated-times"])
 def test_bad_arguments_exit_usage(tmp_path, capsys, argv):
     argv = argv[:1] + ["--model", VIRAL] + argv[1:] + ["--out", str(tmp_path)]
     assert _run(*argv) == 2
