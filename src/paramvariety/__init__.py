@@ -9,14 +9,13 @@ spurious parameters remain.
 
 The exact half (input-output equation, Groebner basis, extension check) is
 pure Python, and each of its layers reads the jet ring off the polynomials
-it is given. So is the data path of model-generated pseudo-data: the RK4
-refinement on Python floats, the exact push-forward jets and the exact
-coefficient solve. numpy serves only the float data path (finite-difference
-pseudo-data, float coefficient systems from measured or closed-form jets,
-the numpy ``Trajectory`` of ``integrate_model``) and sampling, and is
-imported on the first such call, so importing the package, or running
-``ioeq``, ``extend``, ``pseudo`` or ``variety`` on generated push-forward
-data, does not load it.
+it is given. So is pseudo-data generation: the RK4 refinement on Python
+floats, the exact push-forward jets, the central finite differences and the
+exact coefficient solve. numpy serves only the float least-squares solve of
+measured, closed-form or finite-difference jets and sampling, and is
+imported on the first such call, so importing the package, running
+``ioeq``, ``extend`` or ``pseudo``, or ``variety`` on generated
+push-forward data, does not load it.
 """
 
 from .algebra import (

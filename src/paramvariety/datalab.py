@@ -19,11 +19,8 @@ order, and its stages keep the operation order of the numpy formulation:
 the states are bit for bit the same as evaluating the model with
 ``term_evaluator`` under numpy-style stages.
 
-The step-halving refinement runs on Python floats too (``_integrate``),
-so symbolic pseudo-data never load numpy. numpy is imported only inside
-the functions that hand out or take arrays (``integrate_model``, which
-returns a numpy ``Trajectory``, ``central_difference`` and the
-finite-difference branch of ``make_dataset``) on their first call.
+The step-halving refinement (``integrate_model``) and the central finite
+differences run on Python floats too, so this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -57,9 +54,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray    # (len(times), N)
-    outputs: np.ndarray   # (len(times),)
+    """The RK4 solution along a time grid, in Python floats."""
+
+    times: list
+    states: list     # one list of N floats, in state order, per time
+    outputs: list    # the observation at each time
 
 
 @dataclass(frozen=True)
@@ -235,10 +234,19 @@ def _rk4_kernel(model, params):
     return namespace.pop("kernel")
 
 
-def _integrate(model, params, x0, grid):
-    """(times, states) of the RK4 refinement along the grid on Python
-    floats: the times as a list, and the state at each as a list in state
-    order.
+def integrate_model(model, params, x0, grid):
+    """Classical RK4 along the given time grid, refined by step halving, as
+    a Trajectory: the grid times, the state at each and the observation
+    there (term_evaluator of model.g).
+
+    Every segment runs in one kernel generated for this call (_rk4_kernel):
+    straight-line code on Python float locals whose right-hand sides
+    evaluate in term_evaluator's operation order (sum seeded with 0.0, terms
+    in dict order, factors in ring order) and whose stages are
+    x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the states are
+    bit for bit those of numpy float64 arithmetic in that order, signs of
+    zero included. A state that overflows or becomes non-finite raises
+    BlowUp.
 
     Level m runs m times each segment's base substeps. Levels 1 and 2, then
     2 and 4, are compared point by point (|fine - coarse| / max(1e-300,
@@ -280,11 +288,15 @@ def _integrate(model, params, x0, grid):
         mult *= 2
         states, fine = level(mult)
         if all(_agree(coarse(i), fine(i)) for i in range(1, len(times))):
-            return times, states
+            break
         coarse = fine
-    states, fine = level(mult * 2)
-    fine(len(times) - 1)
-    return times, states
+    else:
+        states, fine = level(mult * 2)
+        fine(len(times) - 1)
+    g = term_evaluator(compiled_terms(model.g, _state_index(model),
+                                      _param_vector(model, params)))
+    return Trajectory(times=times, states=states,
+                      outputs=[g(x) for x in states])
 
 
 def _floats(values):
@@ -301,28 +313,6 @@ def _floats(values):
 def _agree(coarse, fine):
     return all(abs(b - a) / max(1e-300, abs(b)) < _REL_TOL
                for a, b in zip(coarse, fine))
-
-
-def integrate_model(model, params, x0, grid):
-    """Classical RK4 along the given time grid, refined by step halving
-    (_integrate), as a numpy Trajectory.
-
-    Every segment runs in one kernel generated for this call (_rk4_kernel):
-    straight-line code on Python float locals whose right-hand sides
-    evaluate in term_evaluator's operation order (sum seeded with 0.0, terms
-    in dict order, factors in ring order) and whose stages are
-    x + (h/2) k and x + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the states are
-    bit for bit those of numpy float64 arithmetic in that order, signs of
-    zero included. A state that overflows or becomes non-finite raises
-    BlowUp.
-    """
-    import numpy as np
-
-    times, states = _integrate(model, params, x0, grid)
-    g = term_evaluator(compiled_terms(model.g, _state_index(model),
-                                      _param_vector(model, params)))
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      outputs=np.array([g(x) for x in states]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,38 +452,34 @@ def is_viral_template(model):
 # ---------------------------------------------------------------------------
 
 def central_difference(times, values, order):
-    """Jets up to the given order from a uniformly sampled series.
+    """Jets up to the given order from a uniformly sampled series, as one
+    (y, y', ..., y^(order)) tuple of floats per sample.
 
     Second-order central stencils inside the grid; one-sided second-order
     stencils at the endpoints, flagged in the returned provenance list.
     """
-    import numpy as np
-
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times = [float(t) for t in times]
+    values = [float(v) for v in values]
     if len(times) != len(values):
         raise ValueError("times and values must have the same length")
     if len(times) < max(4, order + 2):
         raise InsufficientData(
             f"need at least {max(4, order + 2)} samples for order-{order} stencils")
-    h = np.diff(times)
-    if np.max(np.abs(h - h[0])) > 1e-9 * max(1.0, abs(h[0])):
+    h = [b - a for a, b in zip(times, times[1:])]
+    if any(abs(d - h[0]) > 1e-9 * max(1.0, abs(h[0])) for d in h):
         raise ValueError("central differences need a uniform grid")
     h = h[0]
 
     jets = [values]
     for _ in range(order):
         prev = jets[-1]
-        d = np.empty_like(prev)
-        d[1:-1] = (prev[2:] - prev[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * prev[0] + 4.0 * prev[1] - prev[2]) / (2.0 * h)
-        d[-1] = (3.0 * prev[-1] - 4.0 * prev[-2] + prev[-3]) / (2.0 * h)
-        jets.append(d)
-    table = np.column_stack(jets)
+        jets.append([(-3.0 * prev[0] + 4.0 * prev[1] - prev[2]) / (2.0 * h)]
+                    + [(b - a) / (2.0 * h) for a, b in zip(prev, prev[2:])]
+                    + [(3.0 * prev[-1] - 4.0 * prev[-2] + prev[-3]) / (2.0 * h)])
     sources = ["finite_difference"] * len(times)
     if order >= 1:
         sources[0] = sources[-1] = "finite_difference_onesided"
-    return table, sources
+    return list(zip(*jets)), sources
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +496,7 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
     exact. 'exact-viral' uses the closed form (template models only) and
     'finite-difference' differentiates a densely sampled trajectory; both
     give float jets, which are solved in floating point like measured data.
-    The symbolic method integrates on Python floats (_integrate), so only
-    the finite-difference one loads numpy.
+    Both integrating methods call integrate_model.
     """
     times = sorted(float(t) for t in times)
     if t0 is None:
@@ -534,7 +519,7 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
         raise UsageError("measurement times must not precede the initial time")
     if method == "symbolic":
         grid = [t0] + [t for t in times if t > t0 + 1e-15]
-        _, states = _integrate(model, params, x0, grid)
+        states = integrate_model(model, params, x0, grid).states
         jet = _jet_evaluator(model, params, order)
         y_jets = []
         for t in times:
@@ -542,15 +527,18 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
             y_jets.append(jet(states[i]))
         return DataSet(times=times, y_jets=y_jets,
                        sources=["symbolic_pushforward"] * len(times))
-    import numpy as np
-
+    # the points of numpy.linspace(t0, times[-1], nsteps + 1), bit for bit
     nsteps = max(int(round((times[-1] - t0) / _FD_STEP)), 8)
-    grid = np.linspace(t0, times[-1], nsteps + 1)
+    step = (times[-1] - t0) / nsteps
+    grid = [k * step + t0 for k in range(nsteps)] + [times[-1]]
     traj = integrate_model(model, params, x0, grid)
     table, sources = central_difference(traj.times, traj.outputs, order)
-    idx = [int(np.argmin(np.abs(grid - t))) for t in times]
-    return DataSet(times=[float(grid[i]) for i in idx],
-                   y_jets=[tuple(table[i]) for i in idx],
+    idx = []
+    for t in times:  # the nearest grid point, the first of equals
+        gaps = [abs(g - t) for g in grid]
+        idx.append(gaps.index(min(gaps)))
+    return DataSet(times=[grid[i] for i in idx],
+                   y_jets=[table[i] for i in idx],
                    sources=[sources[i] for i in idx])
 
 

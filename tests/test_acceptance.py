@@ -263,8 +263,8 @@ def test_criterion_6_round_trip_lv(lv_model, lv_io, lv_rgb):
             samples = sample_variety(cons, ["a3"], ranges, 2)
             t_first = ds.times[0]
             grid = np.linspace(t_first, 8.0, 12)
-            ref = integrate_model(lv_model, astar, x0,
-                                  [0.0] + list(grid)).outputs[1:]
+            ref = np.asarray(integrate_model(lv_model, astar, x0,
+                                             [0.0] + list(grid)).outputs[1:])
             sup = np.max(np.abs(ref))
             jets0 = {DiffVar("y", j): val for j, val in enumerate(ds.y_jets[0])}
             for pt in samples.points:

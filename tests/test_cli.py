@@ -232,26 +232,29 @@ for name, (params, x0) in nominal.items():
     generated = ["--params", params, "--x0", x0]
     assert cli.main(["variety", *model, *generated]) == 0
     assert cli.main(["pseudo", *model, *generated, "--method", "symbolic"]) == 0
-exact_half = "numpy" in sys.modules
-assert cli.main(["pseudo", "--model", f"{models}/decay.model", "--out", out,
-                 "--params", "a1=-0.4", "--x0", "x1=2.0", "--times", "0.5,1",
-                 "--method", "finite-difference"]) == 0
-print(json.dumps([exact_half, "numpy" in sys.modules]))
+exact = "numpy" in sys.modules
+decay = ["--model", f"{models}/decay.model", "--out", out]
+assert cli.main(["pseudo", *decay, "--params", "a1=-0.4", "--x0", "x1=2.0",
+                 "--times", "0.5,1", "--method", "finite-difference"]) == 0
+finite_difference = "numpy" in sys.modules
+assert cli.main(["variety", *decay, "--data", f"{out}/dataset.csv"]) == 0
+print(json.dumps([exact, finite_difference, "numpy" in sys.modules]))
 """
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
     """import paramvariety, ioeq, extend, and variety and pseudo on
-    generated push-forward data stay off numpy on every bundled model; the
-    float path (finite-difference pseudo-data) loads it on its first call,
-    which shows the probe sees the import."""
+    generated push-forward data stay off numpy on every bundled model, and
+    so do finite-difference pseudo-data; the float solve (variety on that
+    CSV) loads it on its first call, which shows the probe sees the
+    import."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START_PROBE, str(MODELS), str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
 
 
 def test_condition_names_the_solve_path(tmp_path):

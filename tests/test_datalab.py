@@ -143,6 +143,20 @@ def test_lv_trajectory_settles(lv_model):
         1.0, abs(traj.outputs[-1]))
 
 
+@pytest.mark.parametrize("x0, grid, error, match", [
+    ([2.5], [], ValueError, "non-empty"),
+    ([2.5], [0.0, 1.0, 1.0], UsageError, "strictly increasing"),
+    ([2.5], [0.0, 2.0, 1.0], UsageError, "strictly increasing"),
+    ([2.5], [0.0, 5.5], UsageError, "horizon"),
+    ([2.5], [-0.5, 1.0], UsageError, "horizon"),
+    ([2.5, 1.0], [0.0, 1.0], ValueError, "x0 must have 1 entries"),
+    ([], [0.0, 1.0], ValueError, "x0 must have 1 entries"),
+])
+def test_integrate_model_rejects_bad_input(decay_model, x0, grid, error, match):
+    with pytest.raises(error, match=match):
+        integrate_model(decay_model, {"a1": -0.4}, x0, grid)
+
+
 def _reference_blow_up(*args):
     """(message, time) of the BlowUp that the Python-float reference loop
     raises."""
@@ -592,6 +606,7 @@ def test_central_difference_sine():
     h = 1e-3
     times = np.arange(0.0, 1.0 + h / 2, h)
     table, sources = central_difference(times, np.sin(times), order=1)
+    table = np.asarray(table)
     inner = slice(1, -1)
     assert np.max(np.abs(table[inner, 1] - np.cos(times[inner]))) < 1e-6
     assert sources[0] == "finite_difference_onesided"
@@ -601,6 +616,7 @@ def test_central_difference_sine():
 def test_central_difference_linear():
     times = np.linspace(0.0, 1.0, 51)
     table, _ = central_difference(times, 3.0 * times + 1.0, order=2)
+    table = np.asarray(table)
     assert np.max(np.abs(table[:, 2])) < 1e-9
 
 
@@ -613,6 +629,7 @@ def test_central_difference_second_order_accuracy(viral_model):
         ys = [exact_viral_solution(s["a4"], s["a5"], s["a7"], s["t0"],
                                    s["x3"], t)[0] for t in times]
         table, _ = central_difference(times, ys, order=2)
+        table = np.asarray(table)
         mid = len(times) // 2
         ref = exact_viral_solution(s["a4"], s["a5"], s["a7"], s["t0"],
                                    s["x3"], times[mid])
@@ -624,6 +641,15 @@ def test_central_difference_second_order_accuracy(viral_model):
 def test_central_difference_needs_points():
     with pytest.raises(InsufficientData):
         central_difference([0.0, 0.1, 0.2], [1.0, 2.0, 3.0], order=2)
+
+
+@pytest.mark.parametrize("times, values, match", [
+    ([0.0, 0.1, 0.2, 0.35, 0.4], [1.0] * 5, "uniform grid"),
+    ([0.0, 0.1, 0.2, 0.3, 0.4], [1.0] * 4, "same length"),
+])
+def test_central_difference_rejects_bad_series(times, values, match):
+    with pytest.raises(ValueError, match=match):
+        central_difference(times, values, order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +728,26 @@ def test_finite_difference_dataset(viral_model):
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-2, abs=1e-6)
     assert all(s.startswith("finite_difference") for s in ds.sources)
+
+
+@pytest.mark.parametrize("method", ["symbolic", "finite-difference"])
+def test_make_dataset_integrates_through_integrate_model(decay_model, method,
+                                                         monkeypatch):
+    # a probe that wraps the module's integrate_model sees the RK4 layer of
+    # both integrating methods
+    import paramvariety.datalab as datalab
+
+    calls = []
+    real = datalab.integrate_model
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(datalab, "integrate_model", counted)
+    make_dataset(decay_model, {"a1": -0.4}, [2.0], [0.5, 1.0], order=1,
+                 method=method)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("method", ["symbolic", "finite-difference"])
