@@ -533,10 +533,9 @@ def make_dataset(model, params, x0, times, order, t0=None, method="symbolic"):
     grid = [k * step + t0 for k in range(nsteps)] + [times[-1]]
     traj = integrate_model(model, params, x0, grid)
     table, sources = central_difference(traj.times, traj.outputs, order)
-    idx = []
-    for t in times:  # the nearest grid point, the first of equals
-        gaps = [abs(g - t) for g in grid]
-        idx.append(gaps.index(min(gaps)))
+    # the nearest grid point to each time, the first of equals
+    idx = [min(range(len(grid)), key=lambda i: abs(grid[i] - t))
+           for t in times]
     return DataSet(times=[grid[i] for i in idx],
                    y_jets=[table[i] for i in idx],
                    sources=[sources[i] for i in idx])
